@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from . import dsp
 from .contrastive import PretrainConfig, embed_all, pretrain, save_pretrained
-from .dataset import (TARGET_LEADS, apply_qc, fit_qc_bounds, load_segments,
-                      load_vectors, save_segments, save_vectors, segment_record,
-                      segment_record_nonoverlap, split_by_fold)
+from .dataset import (TARGET_LEADS, Segments, apply_qc, fit_qc_bounds,
+                      load_segments, load_vectors, save_segments, save_vectors,
+                      segment_record, segment_record_nonoverlap, split_by_fold)
 from .errors import ConfigError, DataError, DependencyError, PipelineError
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
                          evaluate_model, knn_affinity)
@@ -172,12 +172,12 @@ def cmd_preprocess(args):
         rec = load_record(hea, verify_checksum=bool(section.get("verify_checksums")))
         cleaned = np.zeros((rec.samples.shape[0],
                             int(np.floor(rec.n_samples * 100.0 / rec.fs))))
+        # the fall-back depends on fs and spec only: one design per record
+        fell_back = dsp.design_bandpass(rec.fs, spec)[2] or fell_back
         for i in range(rec.samples.shape[0]):
             x = rec.samples[i]
             if spec.notch_freq < rec.fs / 2.0:
                 x = dsp.notch_filter(x, rec.fs, spec)
-            _, _, fb = dsp.design_bandpass(rec.fs, spec)
-            fell_back = fell_back or fb
             x = dsp.bandpass_filter(x, rec.fs, spec)
             x = dsp.resample_to_100hz(x, rec.fs)
             cleaned[i] = dsp.baseline_remove(x, 100.0, spec)
@@ -224,10 +224,10 @@ def cmd_split(args):
     section = stage_section(config, "split", {})
     records = _load_cleaned_records(args.data)
     splits = split_by_fold(records)
-    train_segs = [s for r in splits["train"] for s in segment_record(r)]
-    val_segs = [s for r in splits["val"] for s in segment_record(r)]
-    test_segs = [s for r in splits["test"] for s in segment_record_nonoverlap(r)]
-    if not train_segs:
+    train_segs = Segments.concat(segment_record(r) for r in splits["train"])
+    val_segs = Segments.concat(segment_record(r) for r in splits["val"])
+    test_segs = Segments.concat(segment_record_nonoverlap(r) for r in splits["test"])
+    if not len(train_segs):
         raise DataError("no training segments")
     bounds = fit_qc_bounds(train_segs,
                            lo_pct=float(section.get("lo_pct", 0.1)),
@@ -343,8 +343,10 @@ def cmd_train(args):
 
 
 def _load_decoders(decoder_dir):
+    """(decoders by lead, NormStats, conditioned flag) of a `train` output
+    directory that holds every target lead."""
     path = Path(decoder_dir)
-    require_manifest(path, "decoders")
+    manifest = require_manifest(path, "decoders")
     decoders, stats = {}, None
     for lead in TARGET_LEADS:
         ckpt = path / f"decoder_{lead}.ckpt"
@@ -354,19 +356,16 @@ def _load_decoders(decoder_dir):
         decoders[lead] = model
         if extra and "norm_stats" in extra:
             stats = NormStats.from_dict(extra["norm_stats"])
-    if not decoders:
-        raise DependencyError(f"no decoder checkpoints under {decoder_dir}")
+    missing = [l for l in TARGET_LEADS if l not in decoders]
+    if missing:
+        raise DependencyError(f"missing decoder checkpoints for {missing} "
+                              f"under {decoder_dir}")
     if stats is None:
         stats_path = path / "norm_stats.json"
         if not stats_path.exists():
             raise DependencyError(f"missing norm_stats under {decoder_dir}")
         stats = NormStats.from_dict(json.loads(stats_path.read_text()))
-    return decoders, stats
-
-
-def _conditioned_flag(decoder_dir):
-    manifest = require_manifest(decoder_dir, "decoders")
-    return bool(manifest.get("config", {}).get("conditioned", True))
+    return decoders, stats, bool(manifest.get("config", {}).get("conditioned", True))
 
 
 def _test_records(split_dir):
@@ -383,11 +382,7 @@ def cmd_reconstruct(args):
     out = _out_dir(args)
     load_config(args)
     encoder = _load_encoder(args.encoder)
-    decoders, stats = _load_decoders(args.decoders)
-    conditioned = _conditioned_flag(args.decoders)
-    missing = [l for l in TARGET_LEADS if l not in decoders]
-    if missing:
-        raise DependencyError(f"missing decoder checkpoints for {missing}")
+    decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
     if not records:
         raise DataError("no test records to reconstruct")
@@ -416,12 +411,11 @@ def cmd_evaluate(args):
     out = _out_dir(args)
     load_config(args)
     encoder = _load_encoder(args.encoder)
-    decoders, stats = _load_decoders(args.decoders)
+    decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
     if not records:
         raise DataError("no test records to evaluate")
-    report = evaluate_model(records, encoder, decoders, stats,
-                            conditioned=_conditioned_flag(args.decoders))
+    report = evaluate_model(records, encoder, decoders, stats, conditioned=conditioned)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=1))
     lines = ["lead,level,rmse,rmse_sem,r2,pearson,n"]
     for level, metrics in (("segment", report.segment_metrics),
@@ -439,9 +433,9 @@ def cmd_evaluate(args):
     (out / "per_class_rmse.csv").write_text("\n".join(per_class) + "\n")
     outputs = [out / "report.json", out / "metrics.csv"]
     if args.baseline_decoders:
-        base_decoders, base_stats = _load_decoders(args.baseline_decoders)
+        base_decoders, base_stats, base_conditioned = _load_decoders(args.baseline_decoders)
         base_report = evaluate_model(records, encoder, base_decoders, base_stats,
-                                     conditioned=_conditioned_flag(args.baseline_decoders))
+                                     conditioned=base_conditioned)
         rows = comparison_table(base_report, report)
         (out / "comparison.csv").write_text(comparison_csv(rows))
         (out / "baseline_report.json").write_text(
@@ -462,17 +456,18 @@ def cmd_affinity(args):
     segments, _ = load_segments(Path(args.data) / f"segments_{split}")
     h, _ = load_vectors(Path(args.embeddings) / f"embeddings_{split}")
     # single-label samples only; class = the single high-confidence code
-    idx = [i for i, s in enumerate(segments) if len(s.labels) == 1]
-    if not idx:
+    single = np.array([len(l) == 1 for l in segments.labels], dtype=bool)
+    if not single.any():
         raise DataError("no single-label segments for affinity analysis")
-    labels = [next(iter(segments[i].labels)) for i in idx]
+    segments = segments[single]
+    labels = [next(iter(l)) for l in segments.labels]
     k = int(section.get("k", 10))
-    h_aff = knn_affinity(h[idx], labels, k=k)
-    x_flat = np.stack([normalize_x(segments[i].x)[0].ravel() for i in idx])
-    x_aff = knn_affinity(x_flat, labels, k=k)
+    h_aff = knn_affinity(h[single], labels, k=k)
+    x_flat = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
+    x_aff = knn_affinity(x_flat.reshape(len(segments), -1), labels, k=k)
     (out / "affinity_h.csv").write_text(h_aff.to_csv())
     (out / "affinity_x.csv").write_text(x_aff.to_csv())
-    summary = {"k": k, "n_samples": len(idx),
+    summary = {"k": k, "n_samples": len(segments),
                "diagonal_consistency_h": diagonal_consistency(h_aff),
                "diagonal_consistency_x": diagonal_consistency(x_aff)}
     (out / "affinity_summary.json").write_text(json.dumps(summary, indent=1))
@@ -490,8 +485,6 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker parallelism (default 1 for determinism)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

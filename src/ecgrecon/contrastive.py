@@ -26,7 +26,6 @@ TEMPERATURE = 0.07
 class ViewPair:
     view_a: np.ndarray   # [3, T] morphology-centered
     view_b: np.ndarray   # [3, T] signal-augmented
-    labels: frozenset
 
 
 @dataclass
@@ -68,18 +67,18 @@ def augment(x, rng, noise_sigma=0.02, amp_range=(0.8, 1.2), max_shift=10):
     return out.astype(np.float32)
 
 
-def make_views(seg, r_peaks, seed, config=None):
-    """Build the (morphology-centered, signal-augmented) pair for a segment.
+def make_views(x, r_peaks, seed, config=None):
+    """Build the (morphology-centered, signal-augmented) pair for one
+    window x [3, T].
 
-    r_peaks are sample indices relative to the segment window (lead II).
+    r_peaks are sample indices relative to the window (lead II).
     """
     config = config or PretrainConfig()
     rng = np.random.default_rng(seed)
-    view_a = recenter_on_peak(seg.x, r_peaks)
-    view_b = augment(seg.x, rng, noise_sigma=config.noise_sigma,
+    view_a = recenter_on_peak(x, r_peaks)
+    view_b = augment(x, rng, noise_sigma=config.noise_sigma,
                      amp_range=config.amp_range, max_shift=config.max_shift)
-    return ViewPair(view_a=view_a.astype(np.float32), view_b=view_b,
-                    labels=seg.labels)
+    return ViewPair(view_a=view_a.astype(np.float32), view_b=view_b)
 
 
 def _positive_mask(labels):
@@ -149,10 +148,6 @@ def supcon_loss_naive(z, labels, temperature=TEMPERATURE):
     return total / n_active if n_active else 0.0
 
 
-def _batch_tensor(views):
-    return Tensor(np.stack(views).astype(np.float32))
-
-
 def pretrain(segments, config=None, log=None):
     """Contrastive pretraining; returns (encoder, projection_head, history).
 
@@ -160,8 +155,8 @@ def pretrain(segments, config=None, log=None):
     Both views of each segment enter the batch as anchors.
     """
     config = config or PretrainConfig()
-    usable = [s for s in segments if s.labels]
-    if not usable:
+    usable = np.flatnonzero([bool(l) for l in segments.labels])
+    if not len(usable):
         raise DataError("no segments with high-confidence labels for pretraining")
     rng = np.random.default_rng(config.seed)
     encoder = Encoder(seed=config.seed)
@@ -170,13 +165,12 @@ def pretrain(segments, config=None, log=None):
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
 
     # r-peaks per segment, computed once on lead II (row 1 of x)
-    peak_cache = []
-    for seg in usable:
+    peak_cache = {}
+    for i in usable:
         try:
-            peaks = detect_r_peaks(seg.x[1], fs=100.0)
+            peak_cache[i] = detect_r_peaks(segments.x[i, 1], fs=100.0)
         except ValueError:
-            peaks = []
-        peak_cache.append(peaks)
+            peak_cache[i] = []
 
     history = []
     order = np.arange(len(usable))
@@ -184,17 +178,16 @@ def pretrain(segments, config=None, log=None):
         rng.shuffle(order)
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
-            idx = order[lo:lo + config.batch_size]
+            idx = usable[order[lo:lo + config.batch_size]]
             if len(idx) < 2:
                 continue
             views, labels = [], []
             for i in idx:
-                pair = make_views(usable[i], peak_cache[i],
+                pair = make_views(segments.x[i], peak_cache[i],
                                   seed=int(rng.integers(0, 2 ** 32)), config=config)
                 views.extend([pair.view_a, pair.view_b])
-                labels.extend([pair.labels, pair.labels])
-            batch = _batch_tensor(views)
-            z = head(encoder(batch))
+                labels.extend([segments.labels[i]] * 2)
+            z = head(encoder(Tensor(np.stack(views))))
             loss = supcon_loss(z, labels, temperature=config.temperature)
             opt.zero_grad()
             loss.backward()
@@ -207,16 +200,12 @@ def pretrain(segments, config=None, log=None):
     return encoder, head, history
 
 
-def embed_all(segments, encoder, batch_size=256):
+def embed_all(segments, encoder):
     """Project segments through the encoder trunk into h [N, 128]."""
-    if not segments:
+    if not len(segments):
         return np.zeros((0, Encoder.EMBED_DIM), dtype=np.float32)
-    out = []
-    for lo in range(0, len(segments), batch_size):
-        chunk = segments[lo:lo + batch_size]
-        batch = Tensor(np.stack([s.x for s in chunk]).astype(np.float32))
-        out.append(encoder(batch).data.copy())
-    return np.concatenate(out, axis=0)
+    return np.concatenate([encoder(Tensor(np.ascontiguousarray(c.x))).data
+                           for c in segments.chunks()])
 
 
 def save_pretrained(out_dir, encoder, head, history):

@@ -8,7 +8,7 @@ row-major, so they are language-neutral and memory-mappable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,25 +21,61 @@ TARGET_LEADS = ("V1", "V3", "V4", "V5", "V6")
 ALL_LEADS = INPUT_LEADS + TARGET_LEADS
 WINDOW = 256
 HOP = 64
+CHUNK = 256   # windows per step wherever a whole store is processed
 
 SEGSTORE_FORMAT = "ecgrecon-segstore-v1"
 VECSTORE_FORMAT = "ecgrecon-vecstore-v1"
+_ARRAY_FIELDS = ("x", "y", "record_id", "start", "fold")   # of Segments; plus labels
 
 
 @dataclass
-class Segment:
-    x: np.ndarray            # [3, T] mV: I, II, V2
-    y: np.ndarray            # [5, T] mV: V1, V3, V4, V5, V6
-    record_id: str
-    start: int
-    fold: int
-    labels: frozenset = frozenset()    # high-confidence codes of the source record
+class Segments:
+    """A batch of windows: row i of every field describes window i. An int,
+    slice, integer array or boolean mask selects a `Segments`."""
+
+    x: np.ndarray            # [N, 3, T] mV: I, II, V2
+    y: np.ndarray            # [N, 5, T] mV: V1, V3, V4, V5, V6
+    record_id: np.ndarray    # [N] str
+    start: np.ndarray        # [N] int, offset of the window in its record
+    fold: np.ndarray         # [N] int
+    labels: list             # [N] frozensets: high-confidence codes of the source record
+    __iter__ = None          # windows are handled as arrays, never one at a time
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float32)
         self.y = np.asarray(self.y, dtype=np.float32)
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise DataError(f"non-finite segment from {self.record_id}@{self.start}")
+        self.record_id = np.asarray(self.record_id, dtype=str)
+        self.start = np.asarray(self.start, dtype=np.int64)
+        self.fold = np.asarray(self.fold, dtype=np.int64)
+        finite = (np.isfinite(self.x).all(axis=(1, 2))
+                  & np.isfinite(self.y).all(axis=(1, 2)))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataError(f"non-finite segment from {self.record_id[i]}@{self.start[i]}")
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            key = [key]
+        rows = np.arange(len(self))[key]
+        return Segments(**{f: getattr(self, f)[key] for f in _ARRAY_FIELDS},
+                        labels=[self.labels[i] for i in rows])
+
+    def chunks(self):
+        """Consecutive slices of at most CHUNK windows."""
+        for lo in range(0, len(self), CHUNK):
+            yield self[lo:lo + CHUNK]
+
+    @classmethod
+    def concat(cls, parts):
+        # an empty batch first, so that no parts still gives [0, 3, T] windows
+        parts = [cls(np.zeros((0, len(INPUT_LEADS), WINDOW)),
+                     np.zeros((0, len(TARGET_LEADS), WINDOW)), [], [], [], []), *parts]
+        return cls(**{f: np.concatenate([getattr(p, f) for p in parts])
+                      for f in _ARRAY_FIELDS},
+                   labels=[l for p in parts for l in p.labels])
 
 
 @dataclass
@@ -65,60 +101,53 @@ class QcBounds:
 
 
 def _extract(rec, offsets, t):
+    if rec.fs != 100:
+        raise DataError(f"record {rec.record_id} not at 100 Hz (fs={rec.fs})")
     missing = [l for l in ALL_LEADS if l not in rec.lead_names]
     if missing:
         raise DataError(f"record {rec.record_id} missing leads {missing}")
-    xi = [rec.lead_names.index(l) for l in INPUT_LEADS]
-    yi = [rec.lead_names.index(l) for l in TARGET_LEADS]
-    labels = frozenset(rec.labels.high_confidence())
+    rows = np.array([rec.lead_names.index(l) for l in ALL_LEADS])
+    offsets = np.asarray(offsets, dtype=np.int64)
+    win = rec.samples[rows[None, :, None], offsets[:, None, None] + np.arange(t)]
+    n, n_in = len(offsets), len(INPUT_LEADS)
     fold = rec.fold if rec.fold is not None else 0
-    segs = []
-    for off in offsets:
-        win = rec.samples[:, off:off + t]
-        segs.append(Segment(x=win[xi], y=win[yi], record_id=rec.record_id,
-                            start=int(off), fold=fold, labels=labels))
-    return segs
+    return Segments(x=win[:, :n_in], y=win[:, n_in:], record_id=[rec.record_id] * n,
+                    start=offsets, fold=[fold] * n,
+                    labels=[frozenset(rec.labels.high_confidence())] * n)
 
 
 def segment_record(rec, t=WINDOW, hop=HOP):
     """Overlapping training windows at offsets 0, hop, 2*hop, ..."""
-    if rec.fs != 100:
-        raise DataError(f"record {rec.record_id} not at 100 Hz (fs={rec.fs})")
-    n = rec.n_samples
-    if n < t:
-        return []
-    count = (n - t) // hop + 1
-    return _extract(rec, [i * hop for i in range(count)], t)
+    return _extract(rec, range(0, rec.n_samples - t + 1, hop), t)
 
 
 def segment_record_nonoverlap(rec, t=WINDOW):
     """Non-overlapping tiling plus one final right-aligned window."""
-    if rec.fs != 100:
-        raise DataError(f"record {rec.record_id} not at 100 Hz (fs={rec.fs})")
     n = rec.n_samples
-    if n < t:
-        return []
     offsets = list(range(0, n - t + 1, t))
-    if offsets[-1] != n - t:
+    if offsets and offsets[-1] != n - t:
         offsets.append(n - t)
     return _extract(rec, offsets, t)
 
 
-def segment_stats(seg):
-    """Per-lead (ptp, rms) over all 8 leads in canonical order."""
-    full = np.concatenate([seg.x, seg.y], axis=0).astype(np.float64)
-    ptp = full.max(axis=1) - full.min(axis=1)
-    rms = np.sqrt(np.mean(full * full, axis=1))
+def segment_stats(segments):
+    """Per-window, per-lead (ptp, rms) over all 8 leads in canonical order,
+    each [N, 8]."""
+    ptp = np.empty((len(segments), len(ALL_LEADS)))
+    rms = np.empty_like(ptp)
+    for lo in range(0, len(segments), CHUNK):
+        chunk = segments[lo:lo + CHUNK]
+        full = np.concatenate([chunk.x, chunk.y], axis=1).astype(np.float64)
+        ptp[lo:lo + CHUNK] = full.max(axis=-1) - full.min(axis=-1)
+        rms[lo:lo + CHUNK] = np.sqrt(np.mean(full * full, axis=-1))
     return ptp, rms
 
 
 def fit_qc_bounds(segments, lo_pct=0.1, hi_pct=99.9):
     """Empirical percentile bounds fit on training-fold segments only."""
-    if not segments:
+    if not len(segments):
         raise DataError("cannot fit QC bounds on zero segments")
-    stats = [segment_stats(s) for s in segments]
-    ptps = np.stack([p for p, _ in stats])
-    rmss = np.stack([r for _, r in stats])
+    ptps, rmss = segment_stats(segments)
     return QcBounds(
         leads=list(ALL_LEADS),
         ptp_lo=np.percentile(ptps, lo_pct, axis=0),
@@ -129,21 +158,18 @@ def fit_qc_bounds(segments, lo_pct=0.1, hi_pct=99.9):
 
 def apply_qc(segments, bounds):
     """Reject a segment iff any lead statistic falls strictly outside its
-    closed interval. Returns (kept, rejected_with_reasons)."""
-    kept, rejected = [], []
-    for seg in segments:
-        ptp, rms = segment_stats(seg)
-        reasons = []
-        for i, lead in enumerate(bounds.leads):
-            if ptp[i] < bounds.ptp_lo[i] or ptp[i] > bounds.ptp_hi[i]:
-                reasons.append(f"{lead}:ptp")
-            if rms[i] < bounds.rms_lo[i] or rms[i] > bounds.rms_hi[i]:
-                reasons.append(f"{lead}:rms")
-        if reasons:
-            rejected.append((seg, reasons))
-        else:
-            kept.append(seg)
-    return kept, rejected
+    closed interval. Returns (kept, rejected): the kept `Segments` and, per
+    rejected window, (its row in `segments`, its "<lead>:ptp" /
+    "<lead>:rms" reasons)."""
+    ptp, rms = segment_stats(segments)
+    names = [f"{lead}:{stat}" for lead in bounds.leads for stat in ("ptp", "rms")]
+    out = np.stack([(ptp < bounds.ptp_lo) | (ptp > bounds.ptp_hi),
+                    (rms < bounds.rms_lo) | (rms > bounds.rms_hi)], axis=2)
+    out = out.reshape(len(segments), len(names))                # [N, 16], as names
+    bad = out.any(axis=1)
+    rejected = [(int(i), [n for n, o in zip(names, out[i]) if o])
+                for i in np.flatnonzero(bad)]
+    return segments[~bad], rejected
 
 
 def split_by_fold(records):
@@ -171,71 +197,73 @@ def split_by_fold(records):
 
 # -- stores ----------------------------------------------------------------
 
-def save_segments(path_prefix, segments, qc_provenance=None):
-    """Write <prefix>.manifest.json + <prefix>.f32.
-
-    Blob layout: per segment, x rows then y rows, row-major float32 LE.
-    """
+def _write_store(path_prefix, manifest, matrix):
+    """Write <prefix>.manifest.json + <prefix>.f32 (row-major float32 LE)."""
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
+    Path(str(prefix) + ".manifest.json").write_text(json.dumps(manifest))
+    Path(str(prefix) + ".f32").write_bytes(np.ascontiguousarray(matrix, dtype="<f4"))
+
+
+def _read_store(path_prefix, fmt, what, shape_of):
+    """(manifest, read-only float32 array) of a store of format `fmt`; the
+    blob must hold exactly the floats of the shape `shape_of(manifest)`."""
+    man_path = Path(str(path_prefix) + ".manifest.json")
+    blob_path = Path(str(path_prefix) + ".f32")
+    if not man_path.exists() or not blob_path.exists():
+        raise DataError(f"{what} store not found: {path_prefix}")
+    manifest = json.loads(man_path.read_text())
+    if manifest.get("format") != fmt:
+        raise DataError(f"unknown {what} store format: {manifest.get('format')}")
+    shape = tuple(shape_of(manifest))
+    raw = blob_path.read_bytes()
+    if len(raw) != 4 * int(np.prod(shape)):
+        raise DataError(f"{blob_path}: {len(raw)} bytes, expected float32 {list(shape)}")
+    return manifest, np.frombuffer(raw, dtype="<f4").reshape(shape)
+
+
+def save_segments(path_prefix, segments, qc_provenance=None):
+    """Segment store; per segment, x rows then y rows."""
     manifest = {
         "format": SEGSTORE_FORMAT,
         "n_segments": len(segments),
         "window": WINDOW,
         "input_leads": list(INPUT_LEADS),
         "target_leads": list(TARGET_LEADS),
-        "segments": [{"record_id": s.record_id, "start": s.start, "fold": s.fold,
-                      "labels": sorted(s.labels)} for s in segments],
+        "segments": [{"record_id": r, "start": s, "fold": f, "labels": sorted(l)}
+                     for r, s, f, l in zip(segments.record_id.tolist(),
+                                           segments.start.tolist(),
+                                           segments.fold.tolist(), segments.labels)],
         "qc": qc_provenance or {},
     }
-    Path(str(prefix) + ".manifest.json").write_text(json.dumps(manifest))
-    if segments:
-        blob = np.stack([np.concatenate([s.x, s.y], axis=0) for s in segments])
-    else:
-        blob = np.zeros((0, len(ALL_LEADS), WINDOW), dtype=np.float32)
-    Path(str(prefix) + ".f32").write_bytes(blob.astype("<f4").tobytes())
+    _write_store(path_prefix, manifest, np.concatenate([segments.x, segments.y], axis=1))
 
 
 def load_segments(path_prefix):
-    prefix = str(path_prefix)
-    man_path = Path(prefix + ".manifest.json")
-    blob_path = Path(prefix + ".f32")
-    if not man_path.exists() or not blob_path.exists():
-        raise DataError(f"segment store not found: {path_prefix}")
-    manifest = json.loads(man_path.read_text())
-    if manifest.get("format") != SEGSTORE_FORMAT:
-        raise DataError(f"unknown segment store format: {manifest.get('format')}")
-    n, t = manifest["n_segments"], manifest["window"]
-    data = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
-    data = data.reshape(n, len(ALL_LEADS), t)
+    """Read a segment store; x and y are views of its one [N, 8, T] blob."""
+    manifest, data = _read_store(
+        path_prefix, SEGSTORE_FORMAT, "segment",
+        lambda m: (m["n_segments"], len(ALL_LEADS), m["window"]))
+    meta = manifest["segments"]
+    if len(meta) != len(data):
+        raise DataError(f"{path_prefix}: {len(meta)} segment entries for "
+                        f"n_segments={len(data)}")
     n_in = len(manifest["input_leads"])
-    segments = []
-    for i, meta in enumerate(manifest["segments"]):
-        segments.append(Segment(x=data[i, :n_in], y=data[i, n_in:],
-                                record_id=meta["record_id"], start=meta["start"],
-                                fold=meta["fold"], labels=frozenset(meta["labels"])))
+    segments = Segments(x=data[:, :n_in], y=data[:, n_in:],
+                        record_id=[m["record_id"] for m in meta],
+                        start=[m["start"] for m in meta], fold=[m["fold"] for m in meta],
+                        labels=[frozenset(m["labels"]) for m in meta])
     return segments, manifest
 
 
 def save_vectors(path_prefix, matrix, meta=None):
     """Vector store (e.g. embeddings [N, 128]) in the same manifest+f32 idiom."""
-    prefix = Path(path_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     matrix = np.asarray(matrix, dtype=np.float32)
-    manifest = {"format": VECSTORE_FORMAT, "shape": list(matrix.shape),
-                "meta": meta or {}}
-    Path(str(prefix) + ".manifest.json").write_text(json.dumps(manifest))
-    Path(str(prefix) + ".f32").write_bytes(matrix.astype("<f4").tobytes())
+    _write_store(path_prefix, {"format": VECSTORE_FORMAT, "shape": list(matrix.shape),
+                               "meta": meta or {}}, matrix)
 
 
 def load_vectors(path_prefix):
-    prefix = str(path_prefix)
-    man_path = Path(prefix + ".manifest.json")
-    blob_path = Path(prefix + ".f32")
-    if not man_path.exists() or not blob_path.exists():
-        raise DataError(f"vector store not found: {path_prefix}")
-    manifest = json.loads(man_path.read_text())
-    if manifest.get("format") != VECSTORE_FORMAT:
-        raise DataError(f"unknown vector store format: {manifest.get('format')}")
-    data = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
-    return data.reshape(manifest["shape"]).copy(), manifest
+    manifest, data = _read_store(path_prefix, VECSTORE_FORMAT, "vector",
+                                 lambda m: m["shape"])
+    return data.copy(), manifest

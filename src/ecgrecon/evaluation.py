@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import TARGET_LEADS, segment_record_nonoverlap
 from .errors import DataError, MetricUndefinedError
-from .reconstruction import reconstruct_record, reconstruct_segments
+from .reconstruction import overlap_add, reconstruct_segments
 
 
 def rmse(y_hat, y):
@@ -152,7 +152,8 @@ class EvaluationReport:
 
 def evaluate_model(records, encoder, decoders, stats, conditioned=True):
     """Segment-level metrics over non-overlapping test segments plus
-    record-level metrics over reassembled full signals."""
+    record-level metrics over the full signals reassembled from the same
+    window predictions."""
     seg_rmse = {lead: [] for lead in TARGET_LEADS}
     seg_r2 = {lead: [] for lead in TARGET_LEADS}
     seg_pear = {lead: [] for lead in TARGET_LEADS}
@@ -163,23 +164,22 @@ def evaluate_model(records, encoder, decoders, stats, conditioned=True):
 
     for rec in records:
         segments = segment_record_nonoverlap(rec)
-        if not segments:
+        if not len(segments):
             continue
         preds = reconstruct_segments(segments, encoder, decoders, stats,
                                      conditioned=conditioned)
         hc = sorted(rec.labels.high_confidence())
         cls = hc[0] if len(hc) == 1 else None
-        for seg, pred in zip(segments, preds):
+        for pred, y in zip(preds, segments.y):
             for li, lead in enumerate(TARGET_LEADS):
-                e = rmse(pred[li], seg.y[li])
+                e = rmse(pred[li], y[li])
                 seg_rmse[lead].append(e)
-                seg_r2[lead].append(_metric_or_none(r2, pred[li], seg.y[li]))
-                seg_pear[lead].append(_metric_or_none(pearson, pred[li], seg.y[li]))
+                seg_r2[lead].append(_metric_or_none(r2, pred[li], y[li]))
+                seg_pear[lead].append(_metric_or_none(pearson, pred[li], y[li]))
                 if cls is not None:
                     by_class.setdefault(cls, {l: [] for l in TARGET_LEADS})
                     by_class[cls][lead].append(e)
-        full = reconstruct_record(rec, encoder, decoders, stats,
-                                  conditioned=conditioned)
+        full = overlap_add(preds, segments.start, rec.n_samples)
         truth = np.stack([rec.lead(l) for l in TARGET_LEADS])
         for li, lead in enumerate(TARGET_LEADS):
             rec_rmse[lead].append(rmse(full[li], truth[li]))

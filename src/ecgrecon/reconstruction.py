@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .dataset import TARGET_LEADS, segment_record_nonoverlap
+from .dataset import CHUNK, TARGET_LEADS, segment_record_nonoverlap
 from .errors import DataError
 from .nn import LeadDecoder, save_checkpoint
 from .optim import AdamW
@@ -24,7 +24,8 @@ DEGENERATE_STD = 1e-6
 
 
 def normalize_x(x):
-    """Lead-wise z-score over time; returns (x_hat, mu, sigma).
+    """Lead-wise z-score over time of one window [3, T] or a batch
+    [..., 3, T]; returns (x_hat float32, mu, sigma), mu and sigma [..., 3].
 
     Rows with population std below 1e-6 are zeroed (flat leads carry no
     information; eps alone would just amplify noise).
@@ -32,10 +33,8 @@ def normalize_x(x):
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=-1, keepdims=True)
     sigma = x.std(axis=-1, keepdims=True)
-    x_hat = (x - mu) / (sigma + EPS)
-    degenerate = (sigma < DEGENERATE_STD).reshape(-1)
-    x_hat[degenerate] = 0.0
-    return x_hat.astype(np.float32), mu.reshape(-1), sigma.reshape(-1)
+    x_hat = np.where(sigma < DEGENERATE_STD, 0.0, (x - mu) / (sigma + EPS))
+    return x_hat.astype(np.float32), mu[..., 0], sigma[..., 0]
 
 
 def normalize_h(h, mu, sigma):
@@ -53,12 +52,22 @@ def embedding_stats(h_matrix):
 
 
 def target_lead_stats(segments):
-    """Per-target-lead mean/std over training-fold segments (mV)."""
-    if not segments:
+    """Per-target-lead mean/std over training-fold segments (mV).
+
+    Sums each window, then sums the window sums in order: the order of a
+    float64 `y.mean(axis=(0, 2))` / `y.std(axis=(0, 2))`, so the result is
+    the same to the bit without a float64 copy of the store.
+    """
+    if not len(segments):
         raise DataError("target stats need at least one segment")
-    ys = np.stack([s.y for s in segments]).astype(np.float64)  # [N, 5, T]
-    mu = ys.mean(axis=(0, 2))
-    sigma = ys.std(axis=(0, 2))
+
+    def total(f):
+        return np.concatenate([f(c.y.astype(np.float64)).sum(axis=2)
+                               for c in segments.chunks()]).sum(axis=0)
+
+    count = len(segments) * segments.y.shape[2]
+    mu = total(lambda y: y) / count
+    sigma = np.sqrt(total(lambda y: np.square(y - mu[:, None])) / count)
     return mu, sigma
 
 
@@ -100,8 +109,8 @@ class TrainResult:
 
 def _prep_arrays(segments, embeddings, lead_idx, h_mu, h_sigma, y_mu, y_sigma,
                  conditioned):
-    xs = np.stack([normalize_x(s.x)[0] for s in segments])
-    ys = np.stack([s.y[lead_idx] for s in segments]).astype(np.float64)
+    xs = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
+    ys = segments.y[:, lead_idx].astype(np.float64)
     ys = ((ys - y_mu[lead_idx]) / (y_sigma[lead_idx] + EPS)).astype(np.float32)
     if conditioned:
         hs = normalize_h(embeddings, h_mu, h_sigma)
@@ -119,9 +128,9 @@ def train_decoder(lead, train_segments, val_segments, train_embeddings,
     but is otherwise trained identically.
     """
     config = config or TrainConfig()
-    if not train_segments:
+    if not len(train_segments):
         raise DataError("zero training segments")
-    if not val_segments:
+    if not len(val_segments):
         raise DataError("zero validation segments")
     if lead not in TARGET_LEADS:
         raise DataError(f"unknown target lead {lead}")
@@ -138,15 +147,13 @@ def train_decoder(lead, train_segments, val_segments, train_embeddings,
     opt = AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
 
     def val_loss():
-        total, n = 0.0, 0
-        for lo in range(0, len(vxs), 256):
-            xb = Tensor(vxs[lo:lo + 256])
-            hb = Tensor(vhs[lo:lo + 256])
-            yb = Tensor(vys[lo:lo + 256])
-            loss = recon_loss(model(xb, hb), yb)
-            total += loss.item() * len(vxs[lo:lo + 256])
-            n += len(vxs[lo:lo + 256])
-        return total / n
+        total = 0.0
+        for lo in range(0, len(vxs), CHUNK):
+            rows = slice(lo, lo + CHUNK)
+            loss = recon_loss(model(Tensor(vxs[rows]), Tensor(vhs[rows])),
+                              Tensor(vys[rows]))
+            total += loss.item() * len(vxs[rows])
+        return total / len(vxs)
 
     from .nn import get_parameter_vector, set_parameter_vector
     best = (0, np.inf, get_parameter_vector(model))
@@ -195,15 +202,13 @@ class NormStats:
                       ("h_mu", "h_sigma", "y_mu", "y_sigma")})
 
 
-def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True,
-                         batch_size=256):
-    """Decode a list of segments; returns [N, 5, T] in mV."""
-    out = np.zeros((len(segments), len(TARGET_LEADS), segments[0].x.shape[1]))
-    for lo in range(0, len(segments), batch_size):
-        chunk = segments[lo:lo + batch_size]
-        xs = np.stack([normalize_x(s.x)[0] for s in chunk])
-        raw = np.stack([s.x for s in chunk]).astype(np.float32)
-        h = encoder(Tensor(raw)).data
+def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True):
+    """Decode a batch of segments; returns [N, 5, T] in mV."""
+    out = np.zeros((len(segments), len(TARGET_LEADS), segments.x.shape[2]))
+    for lo in range(0, len(segments), CHUNK):
+        chunk = segments[lo:lo + CHUNK]
+        xs = normalize_x(chunk.x)[0]
+        h = encoder(Tensor(np.ascontiguousarray(chunk.x))).data
         if conditioned:
             hh = normalize_h(h, stats.h_mu, stats.h_sigma)
         else:
@@ -216,24 +221,26 @@ def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True,
     return out
 
 
-def reconstruct_record(rec, encoder, decoders, stats, conditioned=True):
-    """Reassemble non-overlapping windows into a full [5, n_samples] signal.
+def overlap_add(preds, starts, n_samples):
+    """Place window predictions [N, 5, T] at their record offsets and
+    average where windows overlap (the right-aligned final window);
+    returns [5, n_samples]."""
+    cols = np.asarray(starts)[:, None] + np.arange(preds.shape[2])    # [N, T]
+    out = np.zeros((preds.shape[1], n_samples))
+    weight = np.zeros(n_samples)
+    np.add.at(out, (slice(None), cols), preds.transpose(1, 0, 2))
+    np.add.at(weight, cols, 1.0)
+    return out / weight[None, :]
 
-    The right-aligned final window's overlap region is averaged with the
-    preceding window.
-    """
+
+def reconstruct_record(rec, encoder, decoders, stats, conditioned=True):
+    """Reassemble non-overlapping windows into a full [5, n_samples] signal."""
     segments = segment_record_nonoverlap(rec)
-    if not segments:
+    if not len(segments):
         raise DataError(f"record {rec.record_id} shorter than one window")
-    t = segments[0].x.shape[1]
     preds = reconstruct_segments(segments, encoder, decoders, stats,
                                  conditioned=conditioned)
-    out = np.zeros((len(TARGET_LEADS), rec.n_samples))
-    weight = np.zeros(rec.n_samples)
-    for seg, pred in zip(segments, preds):
-        out[:, seg.start:seg.start + t] += pred
-        weight[seg.start:seg.start + t] += 1.0
-    return out / weight[None, :]
+    return overlap_add(preds, segments.start, rec.n_samples)
 
 
 def save_decoders(out_dir, results, stats):

@@ -7,7 +7,7 @@ import pytest
 
 from ecgrecon import dsp
 from ecgrecon.contrastive import PretrainConfig, embed_all, pretrain
-from ecgrecon.dataset import (apply_qc, fit_qc_bounds, segment_record,
+from ecgrecon.dataset import (Segments, apply_qc, fit_qc_bounds, segment_record,
                               segment_record_nonoverlap, split_by_fold)
 from ecgrecon.synth import builtin_class_specs, generate_corpus
 from ecgrecon.wfdb_io import SignalRecord
@@ -42,9 +42,9 @@ def desk_corpus():
 @pytest.fixture(scope="session")
 def desk_splits(desk_corpus):
     splits = split_by_fold(desk_corpus)
-    train = [s for r in splits["train"] for s in segment_record(r)]
-    val = [s for r in splits["val"] for s in segment_record(r)]
-    test = [s for r in splits["test"] for s in segment_record_nonoverlap(r)]
+    train = Segments.concat(segment_record(r) for r in splits["train"])
+    val = Segments.concat(segment_record(r) for r in splits["val"])
+    test = Segments.concat(segment_record_nonoverlap(r) for r in splits["test"])
     bounds = fit_qc_bounds(train)
     out = {}
     for name, segs in (("train", train), ("val", val), ("test", test)):

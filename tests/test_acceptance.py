@@ -240,10 +240,10 @@ def test_acceptance_05_embedding_class_affinity(desk_splits, desk_embeddings,
     t0 = time.perf_counter()
     segs = desk_splits["test"]
     h = desk_embeddings["test"]
-    idx = [i for i, s in enumerate(segs) if len(s.labels) == 1]
-    labels = [next(iter(segs[i].labels)) for i in idx]
+    idx = [i for i, l in enumerate(segs.labels) if len(l) == 1]
+    labels = [next(iter(segs.labels[i])) for i in idx]
     h_aff = knn_affinity(h[idx], labels, k=10)
-    x_flat = np.stack([normalize_x(segs[i].x)[0].ravel() for i in idx])
+    x_flat = normalize_x(segs.x[idx])[0].reshape(len(idx), -1)
     x_aff = knn_affinity(x_flat, labels, k=10)
     dh = diagonal_consistency(h_aff)
     dx = diagonal_consistency(x_aff)
@@ -307,7 +307,7 @@ def test_acceptance_07_conditioning_liveness(desk_splits, desk_embeddings,
     segs = desk_splits["test"][:32]
     h = desk_embeddings["test"][:32]
     from ecgrecon.reconstruction import normalize_h
-    xs = np.stack([normalize_x(s.x)[0] for s in segs])
+    xs = normalize_x(segs.x)[0]
     hh = normalize_h(h, stats.h_mu, stats.h_sigma)
     perm = np.roll(np.arange(len(segs)), 1)
     deltas = []
@@ -344,20 +344,20 @@ def test_acceptance_08_record_reassembly():
                        record_id="asm", patient_id="p",
                        labels=DiagnosticLabels({"NORM": 100.0}), fold=10)
     segs = segment_record_nonoverlap(rec)
-    offsets_ok = [s.start for s in segs] == [0, 256, 512, 744]
+    offsets_ok = segs.start.tolist() == [0, 256, 512, 744]
     stats = NormStats(h_mu=np.zeros(128), h_sigma=np.ones(128) - EPS,
                       y_mu=np.zeros(5), y_sigma=np.ones(5) - EPS)
     decoders = {}
     for li, lead in enumerate(TARGET_LEADS):
-        lk = {normalize_x(s.x)[0].astype(np.float32).tobytes():
-              s.y[li].astype(np.float64) for s in segs}
+        lk = {x_hat.tobytes(): y[li].astype(np.float64)
+              for x_hat, y in zip(normalize_x(segs.x)[0], segs.y)}
         decoders[lead] = _WindowLookupDecoder(lk)
     out = reconstruct_record(rec, Encoder(seed=0), decoders, stats)
     truth = np.stack([rec.lead(l) for l in TARGET_LEADS])
     err = np.abs(out - truth).max()
     _report("08 non-overlapping reassembly round trip",
             offsets_ok and err < 1e-6,
-            f"offsets {[s.start for s in segs]}, max err {err:.1e}")
+            f"offsets {segs.start.tolist()}, max err {err:.1e}")
 
 
 # 9 ----------------------------------------------------------------------

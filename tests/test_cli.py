@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -146,3 +147,27 @@ def test_manifest_config_hash_tracks_changes(pipeline, tmp_path):
     other = json.loads((other_out / "manifest.json").read_text())
     assert base["config_hash"] != other["config_hash"]
     assert base["tool_version"] == other["tool_version"]
+
+
+def test_truncated_segment_store_exit_4(pipeline, tmp_path):
+    d = pipeline
+    split = tmp_path / "split"
+    shutil.copytree(d["split"], split)
+    blob = split / "segments_train.f32"
+    blob.write_bytes(blob.read_bytes()[:-100])
+    code = main(["embed", "--out", str(tmp_path / "o"), "--data", str(split),
+                 "--encoder", str(d["pretrain"])])
+    assert code == 4
+
+
+def test_evaluate_missing_decoder_exit_3(pipeline, tmp_path):
+    d = pipeline
+    dec = tmp_path / "dec"
+    shutil.copytree(d["dec"], dec)
+    for path in dec.glob("decoder_V3.*"):
+        path.unlink()
+    common = ["--data", str(d["split"]), "--encoder", str(d["pretrain"])]
+    assert main(["evaluate", "--out", str(tmp_path / "e1"), *common,
+                 "--decoders", str(dec)]) == 3
+    assert main(["evaluate", "--out", str(tmp_path / "e2"), *common,
+                 "--decoders", str(d["dec"]), "--baseline-decoders", str(dec)]) == 3

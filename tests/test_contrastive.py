@@ -5,7 +5,7 @@ from ecgrecon import tensor as T
 from ecgrecon.contrastive import (PretrainConfig, embed_all, make_views,
                                   pretrain, recenter_on_peak, supcon_loss,
                                   supcon_loss_naive)
-from ecgrecon.dataset import Segment, segment_record
+from ecgrecon.dataset import Segments, segment_record
 from ecgrecon.errors import DataError
 from ecgrecon.nn import Encoder
 from ecgrecon.synth import builtin_class_specs, generate_corpus
@@ -14,45 +14,44 @@ from ecgrecon.tensor import Tensor
 from _utils import finite_diff_check, random_unit_rows
 
 
-def _pulse_segment(peak=100):
+def _pulse_window(peak=100):
     x = np.zeros((3, 256), dtype=np.float32)
     t = np.arange(256)
     for row in range(3):
         x[row] = np.exp(-0.5 * ((t - peak) / 3.0) ** 2)
-    return Segment(x=x, y=np.zeros((5, 256), dtype=np.float32),
-                   record_id="r", start=0, fold=1, labels=frozenset({"NORM"}))
+    return x
 
 
 def test_recenter_moves_peak_to_128():
-    seg = _pulse_segment(peak=100)
-    pair = make_views(seg, [100], seed=0)
+    x = _pulse_window(peak=100)
+    pair = make_views(x, [100], seed=0)
     assert int(np.argmax(pair.view_a[1])) == 128
     # content shifted right by 28 samples
-    np.testing.assert_allclose(pair.view_a[1][128], seg.x[1][100], atol=1e-6)
+    np.testing.assert_allclose(pair.view_a[1][128], x[1][100], atol=1e-6)
 
 
 def test_recenter_no_peaks_fallback():
-    seg = _pulse_segment()
-    pair = make_views(seg, [], seed=0)
-    np.testing.assert_array_equal(pair.view_a, seg.x)
+    x = _pulse_window()
+    pair = make_views(x, [], seed=0)
+    np.testing.assert_array_equal(pair.view_a, x)
 
 
 def test_recenter_reflection_padding():
-    seg = _pulse_segment(peak=10)
-    out = recenter_on_peak(seg.x, [10])
+    x = _pulse_window(peak=10)
+    out = recenter_on_peak(x, [10])
     # the true peak lands at 128 (a reflected copy of equal height may also
     # appear in the padded region, so check the value rather than argmax)
-    np.testing.assert_allclose(out[1][128], seg.x[1][10], atol=1e-6)
+    np.testing.assert_allclose(out[1][128], x[1][10], atol=1e-6)
     assert out.shape == (3, 256)
     assert np.all(np.isfinite(out))
 
 
 def test_augmented_view_deterministic():
-    seg = _pulse_segment()
-    a = make_views(seg, [100], seed=123).view_b
-    b = make_views(seg, [100], seed=123).view_b
+    x = _pulse_window()
+    a = make_views(x, [100], seed=123).view_b
+    b = make_views(x, [100], seed=123).view_b
     np.testing.assert_array_equal(a, b)
-    c = make_views(seg, [100], seed=124).view_b
+    c = make_views(x, [100], seed=124).view_b
     assert not np.array_equal(a, c)
 
 
@@ -130,10 +129,7 @@ def test_supcon_no_positive_anchors_zero():
 def _mini_segments(n_classes=3, patients=4):
     specs = builtin_class_specs()[:n_classes]
     records = generate_corpus(specs, patients, 1, seed=0, duration=5.0)
-    segs = []
-    for rec in records:
-        segs.extend(segment_record(rec))
-    return segs
+    return Segments.concat(segment_record(rec) for rec in records)
 
 
 def test_pretrain_loss_decreases():
@@ -146,7 +142,7 @@ def test_pretrain_loss_decreases():
 def test_pretrain_single_class_bounded_by_uniform_floor():
     # with every sample sharing one label the loss cannot drop below
     # log(2B - 1), the value reached when all embeddings coincide
-    segs = [s for s in _mini_segments(n_classes=1, patients=3)]
+    segs = _mini_segments(n_classes=1, patients=3)
     config = PretrainConfig(batch_size=16, epochs=1, seed=0)
     _, _, history = pretrain(segs[:48], config)
     assert np.isfinite(history[0])
@@ -156,8 +152,9 @@ def test_pretrain_single_class_bounded_by_uniform_floor():
 
 def test_pretrain_requires_labels():
     segs = _mini_segments()[:10]
-    unlabeled = [Segment(x=s.x, y=s.y, record_id=s.record_id, start=s.start,
-                         fold=s.fold, labels=frozenset()) for s in segs]
+    unlabeled = Segments(x=segs.x, y=segs.y, record_id=segs.record_id,
+                         start=segs.start, fold=segs.fold,
+                         labels=[frozenset()] * len(segs))
     with pytest.raises(DataError, match="high-confidence"):
         pretrain(unlabeled, PretrainConfig(epochs=1))
 
@@ -169,7 +166,7 @@ def test_embed_deterministic_and_permutation_equivariant():
     h2 = embed_all(segs, enc)
     np.testing.assert_array_equal(h1, h2)
     perm = np.random.default_rng(0).permutation(len(segs))
-    h3 = embed_all([segs[i] for i in perm], enc)
+    h3 = embed_all(segs[perm], enc)
     np.testing.assert_allclose(h3, h1[perm], atol=1e-5)
     assert h1.shape == (20, 128)
 

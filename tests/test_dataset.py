@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecgrecon.dataset import (ALL_LEADS, QcBounds, Segment, apply_qc,
+from ecgrecon.dataset import (ALL_LEADS, QcBounds, Segments, apply_qc,
                               fit_qc_bounds, load_segments, load_vectors,
                               save_segments, save_vectors, segment_record,
                               segment_record_nonoverlap, segment_stats,
@@ -21,48 +21,74 @@ def _record(n_samples, record_id="r", patient_id="p", fold=1, seed=0, scale=1.0)
 def test_segment_count_1000_samples():
     segs = segment_record(_record(1000))
     assert len(segs) == 12
-    assert [s.start for s in segs] == [64 * i for i in range(12)]
-    assert segs[-1].start == 704
+    assert segs.start.tolist() == [64 * i for i in range(12)]
+    assert segs.start[-1] == 704
 
 
 def test_segment_too_short():
-    assert segment_record(_record(255)) == []
+    assert len(segment_record(_record(255))) == 0
 
 
 def test_segment_exact_window():
     segs = segment_record(_record(256))
-    assert len(segs) == 1 and segs[0].start == 0
+    assert len(segs) == 1 and segs.start[0] == 0
 
 
 def test_segment_shapes_and_lead_order():
     rec = _record(256)
-    seg = segment_record(rec)[0]
-    assert seg.x.shape == (3, 256) and seg.y.shape == (5, 256)
-    np.testing.assert_allclose(seg.x[0], rec.lead("I"), atol=1e-6)
-    np.testing.assert_allclose(seg.x[2], rec.lead("V2"), atol=1e-6)
-    np.testing.assert_allclose(seg.y[0], rec.lead("V1"), atol=1e-6)
-    np.testing.assert_allclose(seg.y[4], rec.lead("V6"), atol=1e-6)
+    segs = segment_record(rec)
+    x, y = segs.x[0], segs.y[0]
+    assert x.shape == (3, 256) and y.shape == (5, 256)
+    np.testing.assert_allclose(x[0], rec.lead("I"), atol=1e-6)
+    np.testing.assert_allclose(x[2], rec.lead("V2"), atol=1e-6)
+    np.testing.assert_allclose(y[0], rec.lead("V1"), atol=1e-6)
+    np.testing.assert_allclose(y[4], rec.lead("V6"), atol=1e-6)
 
 
 def test_nonoverlap_offsets_1000():
     segs = segment_record_nonoverlap(_record(1000))
-    assert [s.start for s in segs] == [0, 256, 512, 744]
+    assert segs.start.tolist() == [0, 256, 512, 744]
 
 
 def test_nonoverlap_exact_tiling_512():
     segs = segment_record_nonoverlap(_record(512))
-    assert [s.start for s in segs] == [0, 256]
+    assert segs.start.tolist() == [0, 256]
 
 
 def test_nonoverlap_right_aligned_300():
     segs = segment_record_nonoverlap(_record(300))
-    assert [s.start for s in segs] == [0, 44]
+    assert segs.start.tolist() == [0, 44]
 
 
 def test_segmentation_deterministic():
-    a = [s.start for s in segment_record(_record(1000))]
-    b = [s.start for s in segment_record(_record(1000, seed=9))]
+    a = segment_record(_record(1000)).start.tolist()
+    b = segment_record(_record(1000, seed=9)).start.tolist()
     assert a == b
+
+
+def test_non_finite_window_rejected():
+    rec = _record(1000, record_id="nan-rec")
+    rec.samples[4, 300] = np.nan      # inside the windows at 64, 128, ..., 256
+    with pytest.raises(DataError, match="non-finite segment from nan-rec@64"):
+        segment_record(rec)
+
+
+def test_segments_indexing_and_concat():
+    segs = segment_record(_record(1000))
+    assert segs[3].start.tolist() == [192] and segs[-1].start.tolist() == [704]
+    assert segs[2:5].start.tolist() == [128, 192, 256]
+    assert segs[np.array([5, 0])].start.tolist() == [320, 0]
+    mask = segs.start % 128 == 0
+    picked = segs[mask]
+    assert picked.start.tolist() == [0, 128, 256, 384, 512, 640]
+    np.testing.assert_array_equal(picked.y, segs.y[mask])
+    assert len(picked.labels) == 6
+    both = Segments.concat([segs[:2], segs[10:]])
+    assert both.start.tolist() == [0, 64, 640, 704]
+    np.testing.assert_array_equal(both.x[2:], segs.x[10:])
+    assert len(Segments.concat([])) == 0
+    with pytest.raises(TypeError):
+        iter(segs)
 
 
 def test_record_missing_lead_rejected():
@@ -72,27 +98,30 @@ def test_record_missing_lead_rejected():
         segment_record(rec)
 
 
+def _windows(full):
+    # a batch from [N, 8, T] lead data, in canonical lead order
+    n = len(full)
+    return Segments(x=full[:, :3], y=full[:, 3:], record_id=["r"] * n,
+                    start=[0] * n, fold=[1] * n, labels=[frozenset()] * n)
+
+
 def _segment_with_stat(value, seed=0):
     # scale a base segment so lead statistics track `value`
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(8, 256))
     base = base / np.abs(base).max()
-    return Segment(x=base[:3] * value, y=base[3:] * value,
-                   record_id="r", start=0, fold=1)
+    return _windows(base[None] * value)
 
 
 def test_qc_bounds_uniform_grid_oracle():
     rng = np.random.default_rng(1)
     base = rng.normal(size=(8, 256))
-    segs = []
     values = np.linspace(0.0, 1.0, 1000)
-    for v in values:
-        segs.append(Segment(x=base[:3] * v + 0.001, y=base[3:] * v + 0.001,
-                            record_id="r", start=0, fold=1))
+    segs = _windows(base[None] * values[:, None, None] + 0.001)
     bounds = fit_qc_bounds(segs)
     # statistics scale linearly with v; percentile targets land near the
     # 0.1% / 99.9% grid points
-    stats = np.array([segment_stats(s)[0][0] for s in segs])
+    stats = segment_stats(segs)[0][:, 0]
     lo = np.percentile(stats, 0.1)
     hi = np.percentile(stats, 99.9)
     assert bounds.ptp_lo[0] == pytest.approx(lo, abs=1e-9)
@@ -104,40 +133,40 @@ def test_qc_bounds_uniform_grid_oracle():
 
 def test_qc_bounds_single_segment_degenerate():
     seg = _segment_with_stat(0.5)
-    bounds = fit_qc_bounds([seg])
+    bounds = fit_qc_bounds(seg)
     np.testing.assert_allclose(bounds.ptp_lo, bounds.ptp_hi)
     np.testing.assert_allclose(bounds.rms_lo, bounds.rms_hi)
 
 
 def test_qc_bounds_identical_segments():
-    segs = [_segment_with_stat(0.5)] * 10
+    segs = Segments.concat([_segment_with_stat(0.5)] * 10)
     bounds = fit_qc_bounds(segs)
     np.testing.assert_allclose(bounds.ptp_lo, bounds.ptp_hi)
 
 
 def test_apply_qc_boundary_is_kept():
     seg = _segment_with_stat(0.5)
-    bounds = fit_qc_bounds([seg])  # bounds equal the statistic exactly
-    kept, rejected = apply_qc([seg], bounds)
-    assert kept == [seg] and rejected == []
+    bounds = fit_qc_bounds(seg)  # bounds equal the statistic exactly
+    kept, rejected = apply_qc(seg, bounds)
+    assert len(kept) == 1 and np.array_equal(kept.x, seg.x) and rejected == []
 
 
 def test_apply_qc_rejects_and_names_lead():
-    segs = [_segment_with_stat(v) for v in np.linspace(0.4, 0.6, 50)]
+    segs = Segments.concat(_segment_with_stat(v) for v in np.linspace(0.4, 0.6, 50))
     bounds = fit_qc_bounds(segs)
     outlier = _segment_with_stat(5.0)
-    kept, rejected = apply_qc(segs + [outlier], bounds)
+    kept, rejected = apply_qc(Segments.concat([segs, outlier]), bounds)
     assert len(rejected) >= 1
     bad, reasons = rejected[-1]
-    assert bad is outlier
+    assert bad == len(segs)         # the outlier's row
     assert any(":" in r for r in reasons)
     lead = reasons[0].split(":")[0]
     assert lead in ALL_LEADS
 
 
 def test_apply_qc_idempotent():
-    segs = [_segment_with_stat(v, seed=i) for i, v in
-            enumerate(np.linspace(0.3, 0.7, 100))]
+    segs = Segments.concat(_segment_with_stat(v, seed=i) for i, v in
+                           enumerate(np.linspace(0.3, 0.7, 100)))
     bounds = fit_qc_bounds(segs)
     kept, _ = apply_qc(segs, bounds)
     kept2, rejected2 = apply_qc(kept, bounds)
@@ -177,16 +206,27 @@ def test_segment_store_round_trip(tmp_path):
     assert manifest["format"] == "ecgrecon-segstore-v1"
     assert manifest["qc"] == {"fit_on": "train"}
     assert len(loaded) == len(segs)
-    for a, b in zip(loaded, segs):
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.y, b.y)
-        assert (a.record_id, a.start, a.fold, a.labels) == \
-               (b.record_id, b.start, b.fold, b.labels)
+    np.testing.assert_array_equal(loaded.x, segs.x)
+    np.testing.assert_array_equal(loaded.y, segs.y)
+    for a, b in ((loaded.record_id, segs.record_id), (loaded.start, segs.start),
+                 (loaded.fold, segs.fold)):
+        assert a.tolist() == b.tolist()
+    assert loaded.labels == segs.labels
 
 
 def test_segment_store_missing_errors(tmp_path):
     with pytest.raises(DataError):
         load_segments(tmp_path / "nope")
+
+
+def test_truncated_stores_are_data_errors(tmp_path):
+    save_segments(tmp_path / "segs", segment_record(_record(1000)))
+    save_vectors(tmp_path / "vecs", np.zeros((7, 128), dtype=np.float32))
+    for prefix, load in (("segs", load_segments), ("vecs", load_vectors)):
+        blob = tmp_path / f"{prefix}.f32"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        with pytest.raises(DataError, match="bytes, expected"):
+            load(tmp_path / prefix)
 
 
 def test_vector_store_round_trip(tmp_path):
@@ -198,8 +238,8 @@ def test_vector_store_round_trip(tmp_path):
 
 
 def test_qc_bounds_serialization_round_trip():
-    segs = [_segment_with_stat(v, seed=i) for i, v in
-            enumerate(np.linspace(0.3, 0.7, 20))]
+    segs = Segments.concat(_segment_with_stat(v, seed=i) for i, v in
+                           enumerate(np.linspace(0.3, 0.7, 20)))
     bounds = fit_qc_bounds(segs)
     back = QcBounds.from_dict(bounds.to_dict())
     np.testing.assert_allclose(back.ptp_lo, bounds.ptp_lo)

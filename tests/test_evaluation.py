@@ -246,3 +246,32 @@ def test_evaluate_model_with_stub_decoders():
     # zero predictor: rmse equals the target rms, r2 <= 0
     assert rep.segment_metrics["V1"].rmse == pytest.approx(0.3, abs=0.05)
     assert rep.segment_metrics["V1"].r2 <= 0.0
+
+
+def test_evaluate_model_decodes_each_window_once():
+    from ecgrecon.dataset import ALL_LEADS, TARGET_LEADS
+    from ecgrecon.evaluation import evaluate_model
+    from ecgrecon.nn import Encoder
+    from ecgrecon.reconstruction import EPS, NormStats
+    from ecgrecon.tensor import Tensor
+    from ecgrecon.wfdb_io import DiagnosticLabels, SignalRecord
+
+    class CountingDecoder:
+        windows = 0
+
+        def __call__(self, xb, hb):
+            self.windows += xb.shape[0]
+            return Tensor(np.zeros((xb.shape[0], xb.shape[2]), dtype=np.float32))
+
+    rng = np.random.default_rng(0)
+    records = [SignalRecord(samples=rng.normal(0, 0.3, size=(len(ALL_LEADS), 1000)),
+                            fs=100.0, lead_names=list(ALL_LEADS), record_id=f"r{i}",
+                            patient_id=f"p{i}", labels=DiagnosticLabels({"NORM": 100.0}),
+                            fold=10) for i in range(3)]
+    stats = NormStats(h_mu=np.zeros(128), h_sigma=np.ones(128) - EPS,
+                      y_mu=np.zeros(5), y_sigma=np.ones(5) - EPS)
+    decoders = {lead: CountingDecoder() for lead in TARGET_LEADS}
+    rep = evaluate_model(records, Encoder(seed=0), decoders, stats)
+    assert rep.segment_metrics["V1"].n == 12
+    assert rep.record_metrics["V1"].n == 3
+    assert [d.windows for d in decoders.values()] == [12] * 5

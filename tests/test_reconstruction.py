@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecgrecon import tensor as T
-from ecgrecon.dataset import ALL_LEADS, TARGET_LEADS, Segment, segment_record
+from ecgrecon.dataset import ALL_LEADS, TARGET_LEADS, Segments, segment_record
 from ecgrecon.errors import DataError
 from ecgrecon.nn import LeadDecoder
 from ecgrecon.reconstruction import (EPS, NormStats, TrainConfig, decode,
@@ -111,7 +111,7 @@ def test_recon_loss_gradcheck():
 def _training_data(n_classes=2, patients=4):
     specs = builtin_class_specs()[:n_classes]
     records = generate_corpus(specs, patients, 1, seed=0, duration=5.0)
-    segs = [s for rec in records for s in segment_record(rec)]
+    segs = Segments.concat(segment_record(rec) for rec in records)
     rng = np.random.default_rng(0)
     h = rng.normal(size=(len(segs), 128)).astype(np.float32)
     cut = int(0.8 * len(segs))
@@ -191,7 +191,7 @@ def test_reconstruct_record_overlap_average():
     # windows start at 0,256,512,744; overlap region 744..767 is the mean
     from ecgrecon.dataset import segment_record_nonoverlap
     segs = segment_record_nonoverlap(rec)
-    vals = [normalize_x(s.x)[0].mean() for s in segs]
+    vals = normalize_x(segs.x)[0].mean(axis=(1, 2))
     np.testing.assert_allclose(out[0, 300], vals[1], atol=1e-5)
     np.testing.assert_allclose(out[0, 750], (vals[2] + vals[3]) / 2.0, atol=1e-5)
 
@@ -213,9 +213,8 @@ def test_reconstruct_record_single_window_identity_round_trip():
     decoders = {}
     for li, lead in enumerate(TARGET_LEADS):
         lk = {}
-        for s in segs:
-            x_hat = normalize_x(s.x)[0].astype(np.float32)
-            lk[x_hat.tobytes()] = s.y[li].astype(np.float64)
+        for x_hat, y in zip(normalize_x(segs.x)[0], segs.y):
+            lk[x_hat.tobytes()] = y[li].astype(np.float64)
         decoders[lead] = _IdentityDecoder(lk)
     out = reconstruct_record(rec, Encoder(seed=0), decoders, stats)
     truth = np.stack([rec.lead(l) for l in TARGET_LEADS])
@@ -227,7 +226,7 @@ def test_conditioning_liveness_after_training():
     config = TrainConfig(max_epochs=3, patience=3, seed=0, batch_size=16)
     result = train_decoder("V1", tr, va, htr, hva, config)
     n = min(8, len(va))
-    xs = np.stack([normalize_x(s.x)[0] for s in va[:n]])
+    xs = normalize_x(va.x[:n])[0]
     h_mu, h_sigma = embedding_stats(htr)
     hh = normalize_h(hva[:n], h_mu, h_sigma)
     base = result.model(Tensor(xs), Tensor(hh)).data
@@ -241,3 +240,16 @@ def test_target_lead_stats_shape():
     mu, sigma = target_lead_stats(tr)
     assert mu.shape == (5,) and sigma.shape == (5,)
     assert np.all(sigma > 0)
+
+
+def test_target_lead_stats_match_whole_store_float64():
+    # 600 windows span three chunks; the result is bit-equal to the
+    # statistics of one float64 copy of the whole store
+    full = np.random.default_rng(3).normal(0.1, 0.4, size=(600, 8, 256))
+    segs = Segments(x=full[:, :3], y=full[:, 3:], record_id=["r"] * 600,
+                    start=np.zeros(600), fold=np.ones(600),
+                    labels=[frozenset()] * 600)
+    mu, sigma = target_lead_stats(segs)
+    ys = segs.y.astype(np.float64)
+    np.testing.assert_array_equal(mu, ys.mean(axis=(0, 2)))
+    np.testing.assert_array_equal(sigma, ys.std(axis=(0, 2)))
