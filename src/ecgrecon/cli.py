@@ -29,9 +29,8 @@ from .errors import ConfigError, DataError, DependencyError, PipelineError
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
                          evaluate_model, knn_affinity)
 from .nn import load_checkpoint
-from .reconstruction import (NormStats, TrainConfig, embedding_stats,
-                             normalize_x, reconstruct_record, save_decoders,
-                             target_lead_stats, train_decoder)
+from .reconstruction import (NormStats, TrainConfig, normalize_x,
+                             reconstruct_record, save_decoders, train_decoder)
 from .synth import builtin_class_specs, generate_corpus, load_class_specs
 from .wfdb_io import (SignalRecord, load_record, parse_ptbxl_metadata,
                       write_record)
@@ -162,7 +161,7 @@ def cmd_preprocess(args):
     meta = parse_ptbxl_metadata(db_path.read_text(), scp_path.read_text())
     if not meta.rows:
         raise DataError("metadata contains no parseable rows")
-    fell_back = False
+    rates = set()
     clean_dir = out / "cleaned"
     index = []
     for ecg_id, row in meta.rows.items():
@@ -170,18 +169,9 @@ def cmd_preprocess(args):
         if not hea.exists():
             raise DataError(f"record file missing: {hea}")
         rec = load_record(hea, verify_checksum=bool(section.get("verify_checksums")))
-        cleaned = np.zeros((rec.samples.shape[0],
-                            int(np.floor(rec.n_samples * 100.0 / rec.fs))))
-        # the fall-back depends on fs and spec only: one design per record
-        fell_back = dsp.design_bandpass(rec.fs, spec)[2] or fell_back
-        for i in range(rec.samples.shape[0]):
-            x = rec.samples[i]
-            if spec.notch_freq < rec.fs / 2.0:
-                x = dsp.notch_filter(x, rec.fs, spec)
-            x = dsp.bandpass_filter(x, rec.fs, spec)
-            x = dsp.resample_to_100hz(x, rec.fs)
-            cleaned[i] = dsp.baseline_remove(x, 100.0, spec)
-        out_rec = SignalRecord(samples=cleaned, fs=100.0, lead_names=rec.lead_names,
+        rates.add(rec.fs)
+        out_rec = SignalRecord(samples=dsp.clean_signal(rec.samples, rec.fs, spec),
+                               fs=100.0, lead_names=rec.lead_names,
                                record_id=rec.record_id, patient_id=row.patient_id,
                                labels=row.labels, fold=row.fold)
         write_record(out_rec, clean_dir)
@@ -195,19 +185,24 @@ def cmd_preprocess(args):
         (out / "row_errors.json").write_text(json.dumps(meta.errors, indent=1))
     snapshot = dict(section)
     snapshot["filter"] = spec.to_dict()
-    snapshot["bandpass_fallback_40hz"] = bool(fell_back)
+    # the fall-back depends on fs and spec only: one design per sampling rate
+    snapshot["bandpass_fallback_40hz"] = any(dsp.design_bandpass(fs, spec)[2]
+                                             for fs in sorted(rates))
     write_manifest(out, "preprocess", snapshot, [db_path], [clean_dir], started,
                    {"n_records": len(index), "n_row_errors": len(meta.errors)})
     print(f"preprocess: cleaned {len(index)} records into {out}")
 
 
-def _load_cleaned_records(preprocessed_dir):
+def _load_cleaned_records(preprocessed_dir, record_ids=None):
+    """Cleaned records in index order; only those in `record_ids` if given."""
     from .wfdb_io import DiagnosticLabels
     pre = Path(preprocessed_dir)
     require_manifest(pre, "load-cleaned")
     index = json.loads((pre / "records_index.json").read_text())
     records = []
     for entry in index:
+        if record_ids is not None and entry["record_id"] not in record_ids:
+            continue
         rec = load_record(pre / entry["path"])
         rec.patient_id = entry["patient_id"]
         rec.fold = entry["fold"]
@@ -285,8 +280,6 @@ def _load_encoder(encoder_dir):
 def cmd_embed(args):
     started = _now()
     out = _out_dir(args)
-    config = load_config(args)
-    section = stage_section(config, "embed", {})
     require_manifest(args.data, "embed")
     encoder = _load_encoder(args.encoder)
     outputs = []
@@ -296,7 +289,7 @@ def cmd_embed(args):
         save_vectors(out / f"embeddings_{name}", h,
                      meta={"split": name, "dim": h.shape[1] if h.size else 128})
         outputs.append(out / f"embeddings_{name}")
-    write_manifest(out, "embed", section, [args.data, args.encoder], outputs, started)
+    write_manifest(out, "embed", {}, [args.data, args.encoder], outputs, started)
     print(f"embed: wrote embeddings to {out}")
 
 
@@ -325,13 +318,11 @@ def cmd_train(args):
         patience=int(section.get("patience", 10)),
         seed=int(section.get("seed", 0)),
         conditioned=not args.clean_only)
-    h_mu, h_sigma = embedding_stats(h_train)
-    y_mu, y_sigma = target_lead_stats(train_segs)
-    stats = NormStats(h_mu=h_mu, h_sigma=h_sigma, y_mu=y_mu, y_sigma=y_sigma)
+    stats = NormStats.fit(train_segs, h_train)
     results = {}
     for lead in leads:
         results[lead] = train_decoder(lead, train_segs, val_segs, h_train, h_val,
-                                      tc, log=print)
+                                      stats, tc, log=print)
     save_decoders(out, results, stats)
     (out / "norm_stats.json").write_text(json.dumps(stats.to_dict()))
     write_manifest(out, "train", dict(section, conditioned=tc.conditioned),
@@ -372,15 +363,13 @@ def _test_records(split_dir):
     split_path = Path(split_dir)
     require_manifest(split_path, "test-records")
     splits = json.loads((split_path / "splits.json").read_text())
-    records = _load_cleaned_records(splits["preprocessed_dir"])
-    test_ids = set(splits["records"]["test"])
-    return [r for r in records if r.record_id in test_ids]
+    return _load_cleaned_records(splits["preprocessed_dir"],
+                                 set(splits["records"]["test"]))
 
 
 def cmd_reconstruct(args):
     started = _now()
     out = _out_dir(args)
-    load_config(args)
     encoder = _load_encoder(args.encoder)
     decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
@@ -409,7 +398,6 @@ def cmd_reconstruct(args):
 def cmd_evaluate(args):
     started = _now()
     out = _out_dir(args)
-    load_config(args)
     encoder = _load_encoder(args.encoder)
     decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
@@ -481,15 +469,18 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="ecgrecon",
                                      description="Reduced-lead ECG reconstruction pipeline")
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--config", default=None, help="JSON config file")
+    def common(sp, *options):
+        """--out, plus --seed and --config on the stages that read them."""
+        if "seed" in options:
+            sp.add_argument("--seed", type=int, default=None)
+        if "config" in options:
+            sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", required=True, help="output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic WFDB corpus")
-    common(sp)
+    common(sp, "seed", "config")
     sp.add_argument("--classes", type=int, default=None)
     sp.add_argument("--patients", type=int, default=None)
     sp.add_argument("--records", type=int, default=None)
@@ -498,18 +489,18 @@ def build_parser():
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("preprocess", help="clean and resample a corpus")
-    common(sp)
+    common(sp, "config")
     sp.add_argument("--data", required=True, help="corpus directory")
     sp.add_argument("--verify-checksums", action="store_true", default=None)
     sp.set_defaults(func=cmd_preprocess)
 
     sp = sub.add_parser("split", help="patient-wise split, QC, segment stores")
-    common(sp)
+    common(sp, "config")
     sp.add_argument("--data", required=True, help="preprocessed directory")
     sp.set_defaults(func=cmd_split)
 
     sp = sub.add_parser("pretrain", help="contrastive pretraining")
-    common(sp)
+    common(sp, "seed", "config")
     sp.add_argument("--data", required=True, help="split directory")
     sp.add_argument("--epochs", type=int, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
@@ -522,7 +513,7 @@ def build_parser():
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("train", help="train per-lead decoders")
-    common(sp)
+    common(sp, "seed", "config")
     sp.add_argument("--data", required=True, help="split directory")
     sp.add_argument("--embeddings", required=True, help="embed directory")
     sp.add_argument("--leads", default=None, help="comma-separated target leads")
@@ -550,7 +541,7 @@ def build_parser():
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("affinity", help="k-NN class-affinity matrices")
-    common(sp)
+    common(sp, "config")
     sp.add_argument("--data", required=True, help="split directory")
     sp.add_argument("--embeddings", required=True, help="embed directory")
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))

@@ -165,12 +165,10 @@ def pretrain(segments, config=None, log=None):
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
 
     # r-peaks per segment, computed once on lead II (row 1 of x)
-    peak_cache = {}
-    for i in usable:
-        try:
-            peak_cache[i] = detect_r_peaks(segments.x[i, 1], fs=100.0)
-        except ValueError:
-            peak_cache[i] = []
+    try:
+        peak_cache = dict(zip(usable, detect_r_peaks(segments.x[usable, 1], fs=100.0)))
+    except ValueError:
+        peak_cache = {i: [] for i in usable}
 
     history = []
     order = np.arange(len(usable))

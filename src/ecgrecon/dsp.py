@@ -1,8 +1,10 @@
 """Signal cleaning: notch, band-pass, median baseline removal, 100 Hz
 resampling, and R-peak detection.
 
-All IIR stages are applied forward-backward (zero phase) and preserve
-length. Filters are pure functions; nothing is cached between calls.
+Every function works along the last axis of an `[..., n]` array and
+designs each filter once per call. All IIR stages are applied
+forward-backward (zero phase) and preserve length. Filters are pure
+functions; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -93,19 +95,12 @@ def baseline_remove(x, fs, spec=None):
     """
     spec = spec or FilterSpec()
     x = np.asarray(x, dtype=np.float64)
+    lead_axes = (1,) * (x.ndim - 1)   # median over time only, never across rows
     w1 = _odd_window(spec.median_win_short, fs)
     w2 = _odd_window(spec.median_win_long, fs)
-    baseline = ndimage.median_filter(x, size=w1, mode="reflect")
-    baseline = ndimage.median_filter(baseline, size=w2, mode="reflect")
+    baseline = ndimage.median_filter(x, size=lead_axes + (w1,), mode="reflect")
+    baseline = ndimage.median_filter(baseline, size=lead_axes + (w2,), mode="reflect")
     return x - baseline
-
-
-def clean_signal(x, fs, spec=None):
-    """Full cleaning chain: notch -> band-pass -> baseline removal."""
-    spec = spec or FilterSpec()
-    y = notch_filter(x, fs, spec) if spec.notch_freq < fs / 2.0 else np.asarray(x, float)
-    y = bandpass_filter(y, fs, spec)
-    return baseline_remove(y, fs, spec)
 
 
 def resample_to_100hz(x, fs_in):
@@ -119,46 +114,53 @@ def resample_to_100hz(x, fs_in):
     factor = int(round(factor))
     sos = signal.butter(8, 45.0, btype="low", output="sos", fs=fs_in)
     y = signal.sosfiltfilt(sos, x)
-    out = y[::factor]
-    n_out = int(np.floor(len(x) * TARGET_FS / fs_in))
-    return out[:n_out]
+    n_out = int(np.floor(x.shape[-1] * TARGET_FS / fs_in))
+    return y[..., ::factor][..., :n_out]
+
+
+def clean_signal(samples, fs, spec=None):
+    """Cleaning chain of a record [L, n] (or one lead) at fs: notch when
+    below Nyquist -> band-pass -> 100 Hz resampling -> baseline removal."""
+    spec = spec or FilterSpec()
+    y = notch_filter(samples, fs, spec) if spec.notch_freq < fs / 2.0 else samples
+    y = resample_to_100hz(bandpass_filter(y, fs, spec), fs)
+    return baseline_remove(y, TARGET_FS, spec)
 
 
 def detect_r_peaks(lead_ii, fs):
-    """Pan-Tompkins-style R-peak detection on lead II.
+    """Pan-Tompkins-style R-peak detection on lead II: one signal [T]
+    gives a list of indices, a batch [N, T] a list of N such lists.
 
     band-pass 5-15 Hz -> differentiate -> square -> 0.15 s moving-window
     integration -> adaptive threshold at 0.5x running peak average, with a
     0.2 s refractory interval. Indices refer to the input signal.
     """
     x = np.asarray(lead_ii, dtype=np.float64)
-    if len(x) < 2 * fs:
-        raise ValueError(f"need at least 2 s of signal, got {len(x) / fs:.2f} s")
-    if not np.any(x):
-        return []
+    if x.shape[-1] < 2 * fs:
+        raise ValueError(f"need at least 2 s of signal, got {x.shape[-1] / fs:.2f} s")
+    rows = x.reshape(-1, x.shape[-1])
     sos = signal.butter(2, [5.0, 15.0], btype="bandpass", output="sos", fs=fs)
-    bp = signal.sosfiltfilt(sos, x)
-    deriv = np.gradient(bp)
-    sq = deriv * deriv
+    deriv = np.gradient(signal.sosfiltfilt(sos, rows), axis=-1)
     win = max(1, int(round(0.15 * fs)))
-    integ = np.convolve(sq, np.ones(win) / win, mode="same")
-
     refractory = int(np.ceil(0.2 * fs))
-    cand, _ = signal.find_peaks(integ, distance=refractory)
-    if len(cand) == 0:
-        return []
-    spki = float(np.max(integ[:int(2 * fs)]))
-    if spki <= 0:
-        return []
-    peaks = []
     half = max(1, int(round(0.1 * fs)))
-    for c in cand:
-        if integ[c] < 0.5 * spki:
-            continue
-        lo, hi = max(0, c - half), min(len(x), c + half + 1)
-        r = lo + int(np.argmax(x[lo:hi]))
-        if peaks and r - peaks[-1] < refractory:
-            continue
-        peaks.append(r)
-        spki = 0.125 * integ[c] + 0.875 * spki
-    return peaks
+    out = []
+    for row, sq in zip(rows, deriv * deriv):
+        # one np.convolve per row: ndimage.convolve1d differs in the last bits
+        integ = np.convolve(sq, np.ones(win) / win, mode="same")
+        cand, _ = signal.find_peaks(integ, distance=refractory)
+        spki = float(np.max(integ[:int(2 * fs)]))
+        if not np.any(row) or spki <= 0:   # a flat row, or no energy to threshold
+            cand = ()
+        peaks = []
+        for c in cand:
+            if integ[c] < 0.5 * spki:
+                continue
+            lo, hi = max(0, c - half), min(len(row), c + half + 1)
+            r = lo + int(np.argmax(row[lo:hi]))
+            if peaks and r - peaks[-1] < refractory:
+                continue
+            peaks.append(r)
+            spki = 0.125 * integ[c] + 0.875 * spki
+        out.append(peaks)
+    return out if x.ndim > 1 else out[0]

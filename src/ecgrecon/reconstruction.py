@@ -107,21 +107,21 @@ class TrainResult:
     history: list = field(default_factory=list)   # (train_loss, val_loss) per epoch
 
 
-def _prep_arrays(segments, embeddings, lead_idx, h_mu, h_sigma, y_mu, y_sigma,
-                 conditioned):
+def _prep_arrays(segments, embeddings, lead_idx, stats, conditioned):
     xs = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
     ys = segments.y[:, lead_idx].astype(np.float64)
-    ys = ((ys - y_mu[lead_idx]) / (y_sigma[lead_idx] + EPS)).astype(np.float32)
+    ys = ((ys - stats.y_mu[lead_idx]) / (stats.y_sigma[lead_idx] + EPS)).astype(np.float32)
     if conditioned:
-        hs = normalize_h(embeddings, h_mu, h_sigma)
+        hs = normalize_h(embeddings, stats.h_mu, stats.h_sigma)
     else:
         hs = np.zeros((len(segments), embeddings.shape[1]), dtype=np.float32)
     return xs, hs, ys
 
 
 def train_decoder(lead, train_segments, val_segments, train_embeddings,
-                  val_embeddings, config=None, log=None):
-    """Train one per-lead decoder with early stopping on validation loss.
+                  val_embeddings, stats, config=None, log=None):
+    """Train one per-lead decoder with early stopping on validation loss;
+    `stats` is the `NormStats` fitted on the training store.
 
     Returns the parameters from the best validation epoch. The clean-only
     ablation (config.conditioned=False) zeroes the conditioning channel
@@ -135,12 +135,10 @@ def train_decoder(lead, train_segments, val_segments, train_embeddings,
     if lead not in TARGET_LEADS:
         raise DataError(f"unknown target lead {lead}")
     lead_idx = TARGET_LEADS.index(lead)
-    h_mu, h_sigma = embedding_stats(train_embeddings)
-    y_mu, y_sigma = target_lead_stats(train_segments)
-    xs, hs, ys = _prep_arrays(train_segments, train_embeddings, lead_idx,
-                              h_mu, h_sigma, y_mu, y_sigma, config.conditioned)
-    vxs, vhs, vys = _prep_arrays(val_segments, val_embeddings, lead_idx,
-                                 h_mu, h_sigma, y_mu, y_sigma, config.conditioned)
+    xs, hs, ys = _prep_arrays(train_segments, train_embeddings, lead_idx, stats,
+                              config.conditioned)
+    vxs, vhs, vys = _prep_arrays(val_segments, val_embeddings, lead_idx, stats,
+                                 config.conditioned)
 
     rng = np.random.default_rng(config.seed)
     model = LeadDecoder(lead=lead, seed=config.seed)
@@ -195,6 +193,13 @@ class NormStats:
     def to_dict(self):
         return {k: getattr(self, k).tolist() for k in
                 ("h_mu", "h_sigma", "y_mu", "y_sigma")}
+
+    @classmethod
+    def fit(cls, segments, embeddings):
+        """Statistics of the training windows and their embeddings."""
+        h_mu, h_sigma = embedding_stats(embeddings)
+        y_mu, y_sigma = target_lead_stats(segments)
+        return cls(h_mu=h_mu, h_sigma=h_sigma, y_mu=y_mu, y_sigma=y_sigma)
 
     @classmethod
     def from_dict(cls, d):

@@ -2,7 +2,6 @@
 cleaning, splitting, pretraining, and embedding exactly once, so the
 end-to-end checks can share the expensive stages."""
 
-import numpy as np
 import pytest
 
 from ecgrecon import dsp
@@ -29,9 +28,8 @@ def desk_corpus():
                               duration=10.0, fs=100.0)
     cleaned = []
     for rec in records:
-        samples = np.stack([dsp.clean_signal(rec.samples[i], rec.fs)
-                            for i in range(rec.samples.shape[0])])
-        cleaned.append(SignalRecord(samples=samples, fs=rec.fs,
+        cleaned.append(SignalRecord(samples=dsp.clean_signal(rec.samples, rec.fs),
+                                    fs=dsp.TARGET_FS,
                                     lead_names=list(rec.lead_names),
                                     record_id=rec.record_id,
                                     patient_id=rec.patient_id,

@@ -19,8 +19,7 @@ from ecgrecon.errors import HeaderParseError, TruncationError
 from ecgrecon.evaluation import diagonal_consistency, evaluate_model, knn_affinity
 from ecgrecon.nn import Encoder, LeadDecoder, ProjectionHead
 from ecgrecon.reconstruction import (EPS, NormStats, TrainConfig, decode,
-                                     embedding_stats, normalize_x, recon_loss,
-                                     reconstruct_record, target_lead_stats,
+                                     normalize_x, recon_loss, reconstruct_record,
                                      train_decoder)
 from ecgrecon.tensor import Tensor
 
@@ -262,16 +261,14 @@ def desk_decoders(desk_splits, desk_embeddings, desk_times):
     budget and seed; returns (results_ch, results_c, stats, wall_seconds)."""
     tr, va = desk_splits["train"], desk_splits["val"]
     htr, hva = desk_embeddings["train"], desk_embeddings["val"]
-    h_mu, h_sigma = embedding_stats(htr)
-    y_mu, y_sigma = target_lead_stats(tr)
-    stats = NormStats(h_mu=h_mu, h_sigma=h_sigma, y_mu=y_mu, y_sigma=y_sigma)
+    stats = NormStats.fit(tr, htr)
     t0 = time.perf_counter()
     results = {}
     for conditioned in (True, False):
         config = TrainConfig(max_epochs=15, patience=15, seed=DESK_SEED,
                              conditioned=conditioned)
         results[conditioned] = {
-            lead: train_decoder(lead, tr, va, htr, hva, config)
+            lead: train_decoder(lead, tr, va, htr, hva, stats, config)
             for lead in TARGET_LEADS}
     wall = time.perf_counter() - t0
     desk_times["decoders"] = wall

@@ -171,3 +171,25 @@ def test_evaluate_missing_decoder_exit_3(pipeline, tmp_path):
                  "--decoders", str(dec)]) == 3
     assert main(["evaluate", "--out", str(tmp_path / "e2"), *common,
                  "--decoders", str(d["dec"]), "--baseline-decoders", str(dec)]) == 3
+
+
+def test_evaluate_rejects_seed(pipeline, tmp_path):
+    d = pipeline
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--out", str(tmp_path / "o"), "--data", str(d["split"]),
+              "--encoder", str(d["pretrain"]), "--decoders", str(d["dec"]),
+              "--seed", "0"])
+    assert exc.value.code == 2
+
+
+def test_reconstruct_reads_only_test_records(pipeline, tmp_path):
+    d = pipeline
+    pre, split = tmp_path / "pre", tmp_path / "split"
+    shutil.copytree(d["pre"], pre)
+    shutil.copytree(d["split"], split)
+    splits = json.loads((split / "splits.json").read_text())
+    splits["preprocessed_dir"] = str(pre)
+    (split / "splits.json").write_text(json.dumps(splits))
+    (pre / "cleaned" / f"{splits['records']['train'][0]}.dat").unlink()
+    assert main(["reconstruct", "--out", str(tmp_path / "o"), "--data", str(split),
+                 "--encoder", str(d["pretrain"]), "--decoders", str(d["dec"])]) == 0

@@ -5,6 +5,7 @@ from ecgrecon.dsp import (FilterSpec, bandpass_filter, baseline_remove,
                           clean_signal, design_bandpass, detect_r_peaks,
                           notch_filter, resample_to_100hz)
 from ecgrecon.errors import FilterSpecError, UnsupportedRateError
+from ecgrecon.synth import builtin_class_specs, generate_record
 
 
 def _rms(x):
@@ -202,6 +203,37 @@ def test_clean_signal_chain_runs():
     y = clean_signal(x, 100.0)
     assert len(y) == 400
     assert abs(np.mean(y)) < 0.05
+
+
+def _per_lead_chain(samples, fs):
+    """The cleaning chain applied one lead at a time, step by step."""
+    spec = FilterSpec()
+    out = []
+    for x in samples:
+        if spec.notch_freq < fs / 2.0:
+            x = notch_filter(x, fs, spec)
+        x = bandpass_filter(x, fs, spec)
+        x = resample_to_100hz(x, fs)
+        out.append(baseline_remove(x, 100.0, spec))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("fs", [100.0, 500.0, 1000.0])
+def test_clean_signal_whole_record_matches_per_lead_chain(fs):
+    rec = generate_record(builtin_class_specs()[1], 10.0, fs, seed=3)
+    out = clean_signal(rec.samples, fs)
+    assert out.shape == (8, 1000)
+    np.testing.assert_array_equal(out, _per_lead_chain(rec.samples, fs))
+
+
+def test_rpeaks_batch_matches_row_calls():
+    rec = generate_record(builtin_class_specs()[0], 30.0, 100.0, seed=2)
+    x = np.stack([rec.lead("II")[i * 64:i * 64 + 256] for i in range(40)])
+    x[3] = 0.0
+    peaks = detect_r_peaks(x, 100.0)
+    assert peaks == [detect_r_peaks(row, 100.0) for row in x]
+    assert peaks[3] == []
+    assert all(peaks[i] for i in range(40) if i != 3)
 
 
 def test_filterspec_serialization_round_trip():

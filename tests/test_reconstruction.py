@@ -121,7 +121,7 @@ def _training_data(n_classes=2, patients=4):
 def test_train_decoder_early_stopping_returns_best():
     tr, va, htr, hva = _training_data()
     config = TrainConfig(max_epochs=50, patience=3, seed=0, batch_size=16)
-    result = train_decoder("V1", tr, va, htr, hva, config)
+    result = train_decoder("V1", tr, va, htr, hva, NormStats.fit(tr, htr), config)
     assert len(result.history) < 50          # halted before the cap
     assert len(result.history) <= result.best_epoch + 3
     val_losses = [v for _, v in result.history]
@@ -133,7 +133,8 @@ def test_train_decoder_conditioned_and_clean_both_finite():
     for conditioned in (True, False):
         config = TrainConfig(max_epochs=2, patience=2, seed=0, batch_size=16,
                              conditioned=conditioned)
-        result = train_decoder("V3", tr, va, htr, hva, config)
+        result = train_decoder("V3", tr, va, htr, hva, NormStats.fit(tr, htr),
+                               config)
         assert np.isfinite(result.best_val_loss)
         assert len(result.history) == 2
 
@@ -141,13 +142,15 @@ def test_train_decoder_conditioned_and_clean_both_finite():
 def test_train_decoder_zero_segments_errors():
     tr, va, htr, hva = _training_data(patients=2)
     with pytest.raises(DataError):
-        train_decoder("V1", [], va, htr[:0], hva, TrainConfig())
+        train_decoder("V1", [], va, htr[:0], hva, NormStats.fit(tr, htr),
+                      TrainConfig())
 
 
 def test_train_decoder_unknown_lead():
     tr, va, htr, hva = _training_data(patients=2)
     with pytest.raises(DataError, match="lead"):
-        train_decoder("II", tr, va, htr, hva, TrainConfig(max_epochs=1))
+        train_decoder("II", tr, va, htr, hva, NormStats.fit(tr, htr),
+                      TrainConfig(max_epochs=1))
 
 
 class _ConstantDecoder:
@@ -224,7 +227,7 @@ def test_reconstruct_record_single_window_identity_round_trip():
 def test_conditioning_liveness_after_training():
     tr, va, htr, hva = _training_data(patients=6)
     config = TrainConfig(max_epochs=3, patience=3, seed=0, batch_size=16)
-    result = train_decoder("V1", tr, va, htr, hva, config)
+    result = train_decoder("V1", tr, va, htr, hva, NormStats.fit(tr, htr), config)
     n = min(8, len(va))
     xs = normalize_x(va.x[:n])[0]
     h_mu, h_sigma = embedding_stats(htr)

@@ -37,6 +37,33 @@ def test_labels_attached():
     assert rec.labels.high_confidence() == {"TALLR"}
 
 
+def _whole_record(spec, duration, fs, seed):
+    """generate_record with every bump evaluated over the whole record."""
+    rng = np.random.default_rng(seed)
+    period = 60.0 / rng.uniform(*spec.hr_range)
+    n = int(round(duration * fs))
+    t = np.arange(n) / fs
+    wander_phase = rng.uniform(0.0, 2.0 * np.pi)
+    n_beats = int(np.ceil(duration / period)) + 1
+    samples = np.zeros((len(ALL_LEADS), n))
+    for li, lead in enumerate(ALL_LEADS):
+        sig = np.zeros(n)
+        for center, width, amp in spec.waves.get(lead, []):
+            for k in range(-1, n_beats + 1):
+                mu = (k + center) * period
+                sig += amp * np.exp(-0.5 * ((t - mu) / width) ** 2)
+        sig = sig + spec.wander_amp * np.sin(
+            2.0 * np.pi * spec.wander_freq * t + wander_phase)
+        samples[li] = sig
+    return samples + rng.normal(0.0, spec.noise_sigma, size=samples.shape)
+
+
+@pytest.mark.parametrize("spec", builtin_class_specs(), ids=lambda s: s.class_name)
+def test_bumps_rendered_locally_match_whole_record(spec):
+    rec = generate_record(spec, 30.0, 100.0, seed=11)
+    np.testing.assert_array_equal(rec.samples, _whole_record(spec, 30.0, 100.0, 11))
+
+
 def test_disjoint_qrs_amplitudes_separate_classes():
     lo = _single_qrs_spec(amp=1.0)
     hi = _single_qrs_spec(amp=2.0)
