@@ -93,6 +93,19 @@ def stage_section(config, stage, overrides):
     return section
 
 
+def stage_setting(section, key, default, kind, least):
+    """`section[key]` (or `default`) as `kind`; a value that is not a
+    number, or is below `least` (None: no bound), is a ConfigError."""
+    value = section.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if least is not None and number < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value!r}")
+    return number
+
+
 def _out_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -112,15 +125,15 @@ def cmd_synth(args):
     if args.class_specs:
         specs = load_class_specs(args.class_specs)
     else:
-        specs = builtin_class_specs()[:int(section.get("classes", 4))]
+        specs = builtin_class_specs()[:stage_setting(section, "classes", 4, int, None)]
     if not specs:
         raise ConfigError("need at least one class spec")
     records = generate_corpus(
         specs,
-        n_patients_per_class=int(section.get("patients", 30)),
-        records_per_patient=int(section.get("records_per_patient", 2)),
-        seed=int(section.get("seed", 0)),
-        duration=float(section.get("duration", 10.0)))
+        n_patients_per_class=stage_setting(section, "patients", 30, int, None),
+        records_per_patient=stage_setting(section, "records_per_patient", 2, int, None),
+        seed=stage_setting(section, "seed", 0, int, 0),
+        duration=stage_setting(section, "duration", 10.0, float, None))
     rec_dir = out / "records"
     rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
     for rec in records:
@@ -225,8 +238,8 @@ def cmd_split(args):
     if not len(train_segs):
         raise DataError("no training segments")
     bounds = fit_qc_bounds(train_segs,
-                           lo_pct=float(section.get("lo_pct", 0.1)),
-                           hi_pct=float(section.get("hi_pct", 99.9)))
+                           lo_pct=stage_setting(section, "lo_pct", 0.1, float, None),
+                           hi_pct=stage_setting(section, "hi_pct", 99.9, float, None))
     provenance = {"fit_on": "train", "bounds": bounds.to_dict()}
     kept = {}
     rejected_counts = {}
@@ -253,14 +266,14 @@ def cmd_pretrain(args):
     config = load_config(args)
     section = stage_section(config, "pretrain", {
         "epochs": args.epochs, "batch_size": args.batch_size, "seed": args.seed})
+    pc = PretrainConfig(
+        batch_size=stage_setting(section, "batch_size", 128, int, 1),
+        epochs=stage_setting(section, "epochs", 30, int, 0),
+        lr=stage_setting(section, "lr", 1e-3, float, None),
+        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, None),
+        seed=stage_setting(section, "seed", 0, int, 0))
     require_manifest(args.data, "pretrain")
     segments, _ = load_segments(Path(args.data) / "segments_train")
-    pc = PretrainConfig(
-        batch_size=int(section.get("batch_size", 128)),
-        epochs=int(section.get("epochs", 30)),
-        lr=float(section.get("lr", 1e-3)),
-        weight_decay=float(section.get("weight_decay", 1e-4)),
-        seed=int(section.get("seed", 0)))
     encoder, head, history = pretrain(segments, pc, log=print)
     save_pretrained(out, encoder, head, history)
     (out / "training_log.json").write_text(json.dumps({"loss": history}))
@@ -300,6 +313,14 @@ def cmd_train(args):
     section = stage_section(config, "train", {
         "epochs": args.epochs, "patience": args.patience, "seed": args.seed,
         "batch_size": args.batch_size})
+    tc = TrainConfig(
+        lr=stage_setting(section, "lr", 1e-3, float, None),
+        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, None),
+        batch_size=stage_setting(section, "batch_size", 32, int, 1),
+        max_epochs=stage_setting(section, "epochs", 100, int, 1),
+        patience=stage_setting(section, "patience", 10, int, None),
+        seed=stage_setting(section, "seed", 0, int, 0),
+        conditioned=not args.clean_only)
     require_manifest(args.data, "train")
     require_manifest(args.embeddings, "train")
     leads = (args.leads.split(",") if args.leads else list(TARGET_LEADS))
@@ -310,14 +331,6 @@ def cmd_train(args):
     val_segs, _ = load_segments(Path(args.data) / "segments_val")
     h_train, _ = load_vectors(Path(args.embeddings) / "embeddings_train")
     h_val, _ = load_vectors(Path(args.embeddings) / "embeddings_val")
-    tc = TrainConfig(
-        lr=float(section.get("lr", 1e-3)),
-        weight_decay=float(section.get("weight_decay", 1e-4)),
-        batch_size=int(section.get("batch_size", 32)),
-        max_epochs=int(section.get("epochs", 100)),
-        patience=int(section.get("patience", 10)),
-        seed=int(section.get("seed", 0)),
-        conditioned=not args.clean_only)
     stats = NormStats.fit(train_segs, h_train)
     results = {}
     for lead in leads:
@@ -438,6 +451,7 @@ def cmd_affinity(args):
     out = _out_dir(args)
     config = load_config(args)
     section = stage_section(config, "affinity", {"k": args.k})
+    k = stage_setting(section, "k", 10, int, 1)
     require_manifest(args.data, "affinity")
     require_manifest(args.embeddings, "affinity")
     split = args.split
@@ -449,7 +463,6 @@ def cmd_affinity(args):
         raise DataError("no single-label segments for affinity analysis")
     segments = segments[single]
     labels = [next(iter(l)) for l in segments.labels]
-    k = int(section.get("k", 10))
     h_aff = knn_affinity(h[single], labels, k=k)
     x_flat = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
     x_aff = knn_affinity(x_flat.reshape(len(segments), -1), labels, k=k)

@@ -82,13 +82,11 @@ def make_views(x, r_peaks, seed, config=None):
 
 
 def _positive_mask(labels):
-    b = len(labels)
-    mask = np.zeros((b, b), dtype=bool)
-    for i in range(b):
-        for j in range(b):
-            if i != j and labels[i] & labels[j]:
-                mask[i, j] = True
-    return mask
+    """[B, B] bool: rows i != j that share a code, from the multi-hot
+    [B, C] matrix over the codes in the batch."""
+    codes = set().union(*labels)
+    multi_hot = np.array([[c in l for c in codes] for l in labels], dtype=bool)
+    return (multi_hot @ multi_hot.T) & ~np.eye(len(labels), dtype=bool)
 
 
 def supcon_loss(z, labels, temperature=TEMPERATURE):

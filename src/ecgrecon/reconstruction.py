@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .dataset import CHUNK, TARGET_LEADS, segment_record_nonoverlap
 from .errors import DataError
-from .nn import LeadDecoder, save_checkpoint
+from .nn import Encoder, LeadDecoder, save_checkpoint
 from .optim import AdamW
 from .tensor import Tensor
 
@@ -213,11 +213,11 @@ def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True):
     for lo in range(0, len(segments), CHUNK):
         chunk = segments[lo:lo + CHUNK]
         xs = normalize_x(chunk.x)[0]
-        h = encoder(Tensor(np.ascontiguousarray(chunk.x))).data
         if conditioned:
+            h = encoder(Tensor(np.ascontiguousarray(chunk.x))).data
             hh = normalize_h(h, stats.h_mu, stats.h_sigma)
         else:
-            hh = np.zeros_like(h)
+            hh = np.zeros((len(chunk), Encoder.EMBED_DIM), dtype=np.float32)
         xb, hb = Tensor(xs), Tensor(hh)
         for li, lead in enumerate(TARGET_LEADS):
             y_hat = decoders[lead](xb, hb).data

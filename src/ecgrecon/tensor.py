@@ -96,7 +96,7 @@ class Tensor:
                 node._backward(node.grad)
         # leaves that never require grad keep grad=None
         for node in topo:
-            if not node.requires_grad and node._backward is None:
+            if not node.requires_grad:
                 node.grad = None
 
     # -- operator sugar -------------------------------------------------
@@ -137,7 +137,7 @@ def _as_const(x, like):
 def _make(data, parents, backward):
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad or p._backward is not None for p in parents)
+    out.requires_grad = any(p.requires_grad for p in parents)
     out.grad = None
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -159,9 +159,9 @@ def _binary(a, b, fwd, bwd_a, bwd_b, name):
             raise ShapeError(name, a.shape, b.shape)
 
         def backward(g):
-            if a.requires_grad or a._backward is not None:
+            if a.requires_grad:
                 a._accumulate(_unbroadcast(bwd_a(g, a.data, b.data), a.shape))
-            if b.requires_grad or b._backward is not None:
+            if b.requires_grad:
                 b._accumulate(_unbroadcast(bwd_b(g, a.data, b.data), b.shape))
 
         return _make(data, (a, b), backward)
@@ -265,9 +265,9 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad or a._backward is not None:
+        if a.requires_grad:
             a._accumulate(g @ b.data.T)
-        if b.requires_grad or b._backward is not None:
+        if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
     return _make(data, (a, b), backward)
@@ -300,14 +300,18 @@ def concat(tensors, axis=1):
     def backward(g):
         pieces = np.split(g, splits, axis=axis)
         for t, piece in zip(tensors, pieces):
-            if t.requires_grad or t._backward is not None:
+            if t.requires_grad:
                 t._accumulate(piece)
 
     return _make(data, tuple(tensors), backward)
 
 
 def conv1d(x, w, b=None, stride=1, padding=0):
-    """1-D convolution: x [B, Cin, T], w [Cout, Cin, K], b [Cout]."""
+    """1-D convolution: x [B, Cin, T], w [Cout, Cin, K], b [Cout].
+
+    One im2col matmul for every kernel size, stride and padding: the
+    weight as [Cout, Cin*K] times the strided windows as [B, Cin*K, t_out].
+    """
     if x.data.ndim != 3 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv1d", x.shape, w.shape)
     B, Cin, T = x.shape
@@ -315,38 +319,25 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     t_out = (T + 2 * padding - K) // stride + 1
     if t_out < 1:
         raise ShapeError("conv1d", x.shape, w.shape)
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    else:
-        xp = x.data
-    if K == 1 and stride == 1:
-        # pointwise conv is a channel matmul
-        data = np.einsum("oc,bct->bot", w.data[:, :, 0], xp, optimize=True)
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
-        data = np.einsum("bctk,ock->bot", win, w.data, optimize=True)
-    data = np.ascontiguousarray(data)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    # [B, Cin, t_out, K]; kept for backward as a view of xp, never a copy
+    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
+    cols = win.transpose(0, 1, 3, 2).reshape(B, Cin * K, t_out)
+    data = np.matmul(w.data.reshape(Cout, Cin * K), cols)
     if b is not None:
         data += b.data[None, :, None]
 
     def backward(g):
-        if w.requires_grad or w._backward is not None:
-            if K == 1 and stride == 1:
-                gw = np.einsum("bot,bct->oc", g, xp, optimize=True)[:, :, None]
-            else:
-                win_ = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
-                gw = np.einsum("bctk,bot->ock", win_, g, optimize=True)
-            w._accumulate(gw)
-        if b is not None and (b.requires_grad or b._backward is not None):
+        if w.requires_grad:
+            w._accumulate(np.tensordot(g, win, axes=([0, 2], [0, 2])))
+        if b is not None and b.requires_grad:
             b._accumulate(_sum64(g, axis=(0, 2)))
-        if x.requires_grad or x._backward is not None:
+        if x.requires_grad:
             gxp = np.zeros_like(xp)
+            w_taps = w.data.T.copy()   # [K, Cin, Cout]: each tap contiguous for BLAS
             for k in range(K):
-                contrib = np.einsum("bot,oc->bct", g, w.data[:, :, k], optimize=True)
-                gxp[:, :, k:k + stride * t_out:stride] += contrib
-            if padding:
-                gxp = gxp[:, :, padding:-padding]
-            x._accumulate(gxp)
+                gxp[:, :, k:k + stride * t_out:stride] += np.matmul(w_taps[k], g)
+            x._accumulate(gxp[:, :, padding:padding + T])
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ChecksumError, HeaderParseError, SchemaError,
+from .errors import (ChecksumError, DataError, HeaderParseError, SchemaError,
                      TruncationError, UnsupportedFormatError)
 
 SUPPORTED_FORMAT = 16
@@ -252,6 +252,8 @@ def load_record(hea_path, verify_checksum=False):
     hea_path = Path(hea_path)
     header = parse_header(hea_path.read_text())
     dat_path = hea_path.parent / header.signals[0].file_name
+    if not dat_path.is_file():
+        raise DataError(f"signal file missing: {dat_path}")
     return read_signals(header, dat_path.read_bytes(), verify_checksum=verify_checksum)
 
 

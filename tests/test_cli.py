@@ -193,3 +193,43 @@ def test_reconstruct_reads_only_test_records(pipeline, tmp_path):
     (pre / "cleaned" / f"{splits['records']['train'][0]}.dat").unlink()
     assert main(["reconstruct", "--out", str(tmp_path / "o"), "--data", str(split),
                  "--encoder", str(d["pretrain"]), "--decoders", str(d["dec"])]) == 0
+
+
+def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
+    d = pipeline
+    raw = tmp_path / "raw"
+    shutil.copytree(d["raw"], raw)
+    dat = sorted((raw / "records").glob("*.dat"))[0]
+    dat.unlink()
+    assert main(["preprocess", "--out", str(tmp_path / "o"), "--data", str(raw)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and dat.name in err
+
+
+@pytest.mark.parametrize("stage, options, config", [
+    pytest.param("pretrain", ["--batch-size", "0"], None, id="pretrain-batch-size-0"),
+    pytest.param("pretrain", [], {"pretrain": {"lr": "fast"}}, id="pretrain-lr-text"),
+    pytest.param("train", ["--batch-size", "0"], None, id="train-batch-size-0"),
+    pytest.param("train", ["--epochs", "0"], None, id="train-epochs-0"),
+    pytest.param("train", [], {"train": {"patience": [3]}}, id="train-patience-list"),
+    pytest.param("affinity", ["--k", "0"], None, id="affinity-k-0"),
+])
+def test_bad_stage_setting_exit_2(pipeline, tmp_path, capsys, stage, options, config):
+    d = pipeline
+    inputs = {"pretrain": [], "train": ["--embeddings", str(d["embed"])],
+              "affinity": ["--embeddings", str(d["embed"])]}[stage]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        options = options + ["--config", str(path)]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(d["split"]),
+                 *inputs, *options]) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+    assert not (out / "manifest.json").exists()
+
+
+def test_pretrain_zero_epochs_is_legal(pipeline, tmp_path):
+    d = pipeline
+    assert main(["pretrain", "--out", str(tmp_path / "o"), "--data", str(d["split"]),
+                 "--epochs", "0"]) == 0

@@ -85,6 +85,14 @@ def test_supcon_matches_naive_oracle():
         assert abs(got - want) < 1e-6
 
 
+def test_supcon_oracle_empty_and_two_code_rows():
+    z = random_unit_rows(np.random.default_rng(8), 5, 4)
+    labels = [frozenset(), frozenset({"A", "B"}), frozenset({"A"}),
+              frozenset({"B"}), frozenset({"C"})]
+    got = supcon_loss(Tensor(z, dtype=np.float64), labels).item()
+    assert abs(got - supcon_loss_naive(z, labels)) < 1e-6
+
+
 def test_supcon_batch_permutation_invariant():
     rng = np.random.default_rng(5)
     z = random_unit_rows(rng, 6, 4)

@@ -207,6 +207,33 @@ def test_reconstruct_record_exact_tiling_512():
     assert out.shape == (5, 512)
 
 
+def test_unconditioned_reconstruction_skips_encoder(monkeypatch):
+    from ecgrecon.nn import Encoder
+    calls = []
+    forward = Encoder.forward
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return forward(self, x)
+
+    monkeypatch.setattr(Encoder, "forward", counted)
+    seen = []
+
+    class _ZeroConditioningDecoder(_ConstantDecoder):
+        def __call__(self, xb, hb):
+            seen.append(hb.data)
+            return super().__call__(xb, hb)
+
+    rec = _record_with_leads(1000)
+    decoders = {lead: _ZeroConditioningDecoder() for lead in TARGET_LEADS}
+    out = reconstruct_record(rec, Encoder(seed=0), decoders, _unit_stats(),
+                             conditioned=False)
+    assert out.shape == (5, 1000)
+    assert calls == []
+    assert all(h.shape == (4, Encoder.EMBED_DIM) and h.dtype == np.float32
+               and not h.any() for h in seen)
+
+
 def test_reconstruct_record_single_window_identity_round_trip():
     from ecgrecon.dataset import segment_record_nonoverlap
     from ecgrecon.nn import Encoder

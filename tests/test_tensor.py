@@ -58,19 +58,72 @@ def test_conv1d_matches_manual_small_case():
     np.testing.assert_allclose(y[0, 0], expect)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_conv1d_gradcheck(seed):
+# (kernel, stride, padding) of every conv in nn, plus a strided pointwise one
+CONV_SHAPES = [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1), (5, 1, 2), (5, 2, 2),
+               (7, 2, 3)]
+CONV_CASES = ([pytest.param(seed, 3, 2, 1, id=str(seed)) for seed in range(5)]
+              + [pytest.param(0, k, s, p, id=f"k{k}-s{s}-p{p}")
+                 for k, s, p in CONV_SHAPES if (k, s, p) != (3, 2, 1)])
+
+
+def _conv1d_reference(x, w, b, stride, padding):
+    """Direct sum in float64: out[b, o, t] = bias[o] + sum_{c,k} w[o, c, k] x[b, c, t*s + k - p]."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    cout, cin, K = w.shape
+    t_out = (xp.shape[2] - K) // stride + 1
+    out = np.zeros((x.shape[0], cout, t_out))
+    for n in range(x.shape[0]):
+        for o in range(cout):
+            for t in range(t_out):
+                out[n, o, t] = b[o] + np.sum(w[o] * xp[n, :, t * stride:t * stride + K])
+    return out
+
+
+@pytest.mark.parametrize("seed, k, stride, padding", CONV_CASES)
+def test_conv1d_gradcheck(seed, k, stride, padding):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 3, 10))
-    w = rng.normal(size=(4, 3, 3))
+    w = rng.normal(size=(4, 3, k))
     b = rng.normal(size=4)
-    proj = rng.normal(size=(2, 4, 5))
+    t_out = (10 + 2 * padding - k) // stride + 1
+    proj = rng.normal(size=(2, 4, t_out))
 
     def loss(leaves):
-        out = T.conv1d(leaves[0], leaves[1], leaves[2], stride=2, padding=1)
+        out = T.conv1d(leaves[0], leaves[1], leaves[2], stride=stride, padding=padding)
         return T.tensor_sum(T.mul(out, Tensor(proj, dtype=np.float64)))
 
     finite_diff_check(loss, [x, w, b])
+
+
+@pytest.mark.parametrize("k, stride, padding", CONV_SHAPES)
+def test_conv1d_forward_matches_direct_sum(k, stride, padding):
+    rng = np.random.default_rng(k * 10 + stride)
+    x = rng.normal(size=(3, 5, 17)).astype(np.float32)
+    w = rng.normal(size=(6, 5, k)).astype(np.float32)
+    b = rng.normal(size=6).astype(np.float32)
+    got = T.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+    want = _conv1d_reference(x.astype(np.float64), w.astype(np.float64),
+                             b.astype(np.float64), stride, padding)
+    assert got.data.dtype == np.float32 and got.data.flags.c_contiguous
+    np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
+
+
+def test_graph_without_grad_records_no_closures():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 3, 8)))
+    w = Tensor(rng.normal(size=(4, 3, 3)))
+    h = Tensor(rng.normal(size=(2, 4)))
+    out = T.conv1d(x, w, Tensor(np.zeros(4)), stride=1, padding=1)
+    out = T.concat([T.relu(out), T.broadcast_over_time(h, 8)], axis=1)
+    loss = T.l2_normalize(T.matmul(T.global_avg_pool(out), Tensor(np.ones((8, 2)))))
+    loss = T.tensor_sum(T.exp(loss) * 2.0 - T.log(T.absolute(loss) + 1.0))
+    nodes, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node._parents)
+    assert nodes == [loss]
+    assert not loss.requires_grad and loss._backward is None
 
 
 @pytest.mark.parametrize("seed", range(5))
