@@ -1,8 +1,9 @@
 """Subcommand front-end for the reconstruction pipeline.
 
 Stages: synth -> preprocess -> split -> pretrain -> embed -> train ->
-reconstruct / evaluate / affinity. Every artifact-producing stage writes
-one manifest.json next to its outputs; downstream stages require it.
+reconstruct / evaluate / affinity. `run_stage` runs each one: the stage
+writes into a temporary sibling of `--out`, which gets its manifest.json
+last and is then renamed into place; downstream stages require it.
 
 Exit codes: 0 ok, 2 config error, 3 dependency error, 4 data error,
 5 internal error.
@@ -14,7 +15,9 @@ import argparse
 import datetime
 import hashlib
 import json
+import shutil
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,8 @@ from . import dsp
 from .contrastive import PretrainConfig, embed_all, pretrain, save_pretrained
 from .dataset import (TARGET_LEADS, Segments, apply_qc, fit_qc_bounds,
                       load_segments, load_vectors, save_segments, save_vectors,
-                      segment_record, segment_record_nonoverlap, split_by_fold)
+                      segment_record, segment_record_nonoverlap, segment_stats,
+                      split_by_fold)
 from .errors import ConfigError, DataError, DependencyError, PipelineError
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
                          evaluate_model, knn_affinity)
@@ -66,11 +70,15 @@ def require_manifest(directory, stage):
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise DependencyError(f"{stage}: missing upstream manifest {path}")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise DependencyError(f"{stage}: unreadable upstream manifest {path}: {exc}")
 
 
-def load_config(args):
-    """Merge the JSON config (per-stage sections) with CLI overrides."""
+def stage_section(args):
+    """The stage's section of the JSON `--config`, with the options named
+    in `args.settings` laid over it where given."""
     config = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -82,14 +90,10 @@ def load_config(args):
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
-    return config
-
-
-def stage_section(config, stage, overrides):
-    section = dict(config.get(stage, {}))
-    for key, value in overrides.items():
-        if value is not None:
-            section[key] = value
+    section = dict(config.get(args.command, {}))
+    for key in args.settings:
+        if getattr(args, key) is not None:
+            section[key] = getattr(args, key)
     return section
 
 
@@ -106,34 +110,73 @@ def stage_setting(section, key, default, kind, least):
     return number
 
 
-def _out_dir(args):
+# upstream directories a stage can name, in the order its manifest lists them
+UPSTREAM = ("data", "encoder", "embeddings", "decoders", "baseline_decoders")
+
+
+def _check_out(target, command):
+    """`--out` must be absent, an empty directory or an earlier output of
+    `command`: anything else may be data that publishing would delete."""
+    if not target.exists() or (target.is_dir() and not any(target.iterdir())):
+        return
+    try:
+        earlier = json.loads((target / "manifest.json").read_text())["command"]
+    except (OSError, ValueError, TypeError, KeyError):
+        earlier = None
+    if earlier != command:
+        raise ConfigError(f"--out {target} is neither empty nor an earlier "
+                          f"{command} output")
+
+
+def run_stage(args):
+    """Run the stage body `args.func(args, work, section)` and publish.
+
+    `section` is the stage's config section with `args.settings` laid over
+    it; the body may add derived settings to it. The body writes into
+    `work`, a fresh sibling of `--out`, and returns (output names relative
+    to `--out`, manifest extras or None, summary line). The manifest goes
+    into `work` last; then the old `--out` is removed and `work` renamed
+    into its place, so on any error `--out` keeps its earlier contents."""
+    started = _now()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    target = out.resolve()
+    _check_out(target, args.command)
+    section = stage_section(args)
+    inputs = [getattr(args, key) for key in UPSTREAM if getattr(args, key, None)]
+    if args.command != "preprocess":    # its --data is a corpus, not a stage output
+        for path in inputs:
+            require_manifest(path, args.command)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    work = target.parent / f".{target.name}.{uuid.uuid4().hex}.tmp"
+    work.mkdir()
+    try:
+        outputs, extras, summary = args.func(args, work, section)
+        write_manifest(work, args.command, section, inputs,
+                       [out / name for name in outputs], started, extras)
+        if target.exists():
+            shutil.rmtree(target)
+        work.rename(target)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print(summary)
 
 
 # -- stages ----------------------------------------------------------------
 
-def cmd_synth(args):
-    started = _now()
-    out = _out_dir(args)
-    config = load_config(args)
-    section = stage_section(config, "synth", {
-        "classes": args.classes, "patients": args.patients,
-        "records_per_patient": args.records, "duration": args.duration,
-        "seed": args.seed})
+def cmd_synth(args, out, section):
     if args.class_specs:
         specs = load_class_specs(args.class_specs)
     else:
-        specs = builtin_class_specs()[:stage_setting(section, "classes", 4, int, None)]
+        specs = builtin_class_specs()[:stage_setting(section, "classes", 4, int, 1)]
     if not specs:
         raise ConfigError("need at least one class spec")
     records = generate_corpus(
         specs,
-        n_patients_per_class=stage_setting(section, "patients", 30, int, None),
-        records_per_patient=stage_setting(section, "records_per_patient", 2, int, None),
+        n_patients_per_class=stage_setting(section, "patients", 30, int, 1),
+        records_per_patient=stage_setting(section, "records_per_patient", 2, int, 1),
         seed=stage_setting(section, "seed", 0, int, 0),
-        duration=stage_setting(section, "duration", 10.0, float, None))
+        # at least one sample at synth's 100 Hz
+        duration=stage_setting(section, "duration", 10.0, float, 0.01))
     rec_dir = out / "records"
     rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
     for rec in records:
@@ -147,9 +190,8 @@ def cmd_synth(args):
     (out / "scp_statements.csv").write_text("\n".join(scp) + "\n")
     (out / "class_specs.json").write_text(
         json.dumps([s.to_dict() for s in specs], indent=1))
-    write_manifest(out, "synth", section, [], [rec_dir, out / "database.csv"],
-                   started, {"n_records": len(records)})
-    print(f"synth: wrote {len(records)} records to {out}")
+    return (["records", "database.csv"], {"n_records": len(records)},
+            f"synth: wrote {len(records)} records to {Path(args.out)}")
 
 
 def _find_database_csv(data_dir):
@@ -160,11 +202,7 @@ def _find_database_csv(data_dir):
     raise DependencyError(f"no database CSV found under {data_dir}")
 
 
-def cmd_preprocess(args):
-    started = _now()
-    out = _out_dir(args)
-    config = load_config(args)
-    section = stage_section(config, "preprocess", {"verify_checksums": args.verify_checksums})
+def cmd_preprocess(args, out, section):
     spec = dsp.FilterSpec.from_dict(section.get("filter", {}))
     data_dir = Path(args.data)
     db_path = _find_database_csv(data_dir)
@@ -196,14 +234,12 @@ def cmd_preprocess(args):
     (out / "records_index.json").write_text(json.dumps(index))
     if meta.errors:
         (out / "row_errors.json").write_text(json.dumps(meta.errors, indent=1))
-    snapshot = dict(section)
-    snapshot["filter"] = spec.to_dict()
+    section["filter"] = spec.to_dict()
     # the fall-back depends on fs and spec only: one design per sampling rate
-    snapshot["bandpass_fallback_40hz"] = any(dsp.design_bandpass(fs, spec)[2]
-                                             for fs in sorted(rates))
-    write_manifest(out, "preprocess", snapshot, [db_path], [clean_dir], started,
-                   {"n_records": len(index), "n_row_errors": len(meta.errors)})
-    print(f"preprocess: cleaned {len(index)} records into {out}")
+    section["bandpass_fallback_40hz"] = any(dsp.design_bandpass(fs, spec)[2]
+                                            for fs in sorted(rates))
+    return (["cleaned"], {"n_records": len(index), "n_row_errors": len(meta.errors)},
+            f"preprocess: cleaned {len(index)} records into {Path(args.out)}")
 
 
 def _load_cleaned_records(preprocessed_dir, record_ids=None):
@@ -225,26 +261,24 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
     return records
 
 
-def cmd_split(args):
-    started = _now()
-    out = _out_dir(args)
-    config = load_config(args)
-    section = stage_section(config, "split", {})
+def cmd_split(args, out, section):
     records = _load_cleaned_records(args.data)
     splits = split_by_fold(records)
-    train_segs = Segments.concat(segment_record(r) for r in splits["train"])
-    val_segs = Segments.concat(segment_record(r) for r in splits["val"])
-    test_segs = Segments.concat(segment_record_nonoverlap(r) for r in splits["test"])
-    if not len(train_segs):
+    windows = {"train": Segments.concat(segment_record(r) for r in splits["train"]),
+               "val": Segments.concat(segment_record(r) for r in splits["val"]),
+               "test": Segments.concat(segment_record_nonoverlap(r)
+                                       for r in splits["test"])}
+    if not len(windows["train"]):
         raise DataError("no training segments")
-    bounds = fit_qc_bounds(train_segs,
+    stats = {name: segment_stats(segs) for name, segs in windows.items()}
+    bounds = fit_qc_bounds(stats["train"],
                            lo_pct=stage_setting(section, "lo_pct", 0.1, float, None),
                            hi_pct=stage_setting(section, "hi_pct", 99.9, float, None))
     provenance = {"fit_on": "train", "bounds": bounds.to_dict()}
     kept = {}
     rejected_counts = {}
-    for name, segs in (("train", train_segs), ("val", val_segs), ("test", test_segs)):
-        ok, bad = apply_qc(segs, bounds)
+    for name, segs in windows.items():
+        ok, bad = apply_qc(segs, stats[name], bounds)
         kept[name] = ok
         rejected_counts[name] = len(bad)
         save_segments(out / f"segments_{name}", ok, qc_provenance=provenance)
@@ -253,66 +287,44 @@ def cmd_split(args):
         "records": {name: [r.record_id for r in recs]
                     for name, recs in splits.items()},
         "rejected": rejected_counts}))
-    write_manifest(out, "split", section, [args.data],
-                   [out / f"segments_{n}" for n in ("train", "val", "test")],
-                   started, {"kept": {k: len(v) for k, v in kept.items()},
-                             "rejected": rejected_counts})
-    print("split: kept " + ", ".join(f"{k}={len(v)}" for k, v in kept.items()))
+    return ([f"segments_{name}" for name in kept],
+            {"kept": {k: len(v) for k, v in kept.items()}, "rejected": rejected_counts},
+            "split: kept " + ", ".join(f"{k}={len(v)}" for k, v in kept.items()))
 
 
-def cmd_pretrain(args):
-    started = _now()
-    out = _out_dir(args)
-    config = load_config(args)
-    section = stage_section(config, "pretrain", {
-        "epochs": args.epochs, "batch_size": args.batch_size, "seed": args.seed})
+def cmd_pretrain(args, out, section):
     pc = PretrainConfig(
         batch_size=stage_setting(section, "batch_size", 128, int, 1),
         epochs=stage_setting(section, "epochs", 30, int, 0),
         lr=stage_setting(section, "lr", 1e-3, float, None),
         weight_decay=stage_setting(section, "weight_decay", 1e-4, float, None),
         seed=stage_setting(section, "seed", 0, int, 0))
-    require_manifest(args.data, "pretrain")
     segments, _ = load_segments(Path(args.data) / "segments_train")
     encoder, head, history = pretrain(segments, pc, log=print)
     save_pretrained(out, encoder, head, history)
     (out / "training_log.json").write_text(json.dumps({"loss": history}))
-    write_manifest(out, "pretrain", section, [args.data],
-                   [out / "encoder.ckpt.json"], started,
-                   {"final_loss": history[-1] if history else None})
-    print(f"pretrain: final loss {history[-1]:.6f}" if history else "pretrain: done")
+    return (["encoder.ckpt.json"], {"final_loss": history[-1] if history else None},
+            f"pretrain: final loss {history[-1]:.6f}" if history else "pretrain: done")
 
 
 def _load_encoder(encoder_dir):
-    path = Path(encoder_dir)
-    require_manifest(path, "encoder")
-    encoder, _ = load_checkpoint(path / "encoder.ckpt")
+    encoder, _ = load_checkpoint(Path(encoder_dir) / "encoder.ckpt")
     return encoder
 
 
-def cmd_embed(args):
-    started = _now()
-    out = _out_dir(args)
-    require_manifest(args.data, "embed")
+def cmd_embed(args, out, section):
     encoder = _load_encoder(args.encoder)
-    outputs = []
-    for name in ("train", "val", "test"):
+    splits = ("train", "val", "test")
+    for name in splits:
         segments, _ = load_segments(Path(args.data) / f"segments_{name}")
         h = embed_all(segments, encoder)
         save_vectors(out / f"embeddings_{name}", h,
                      meta={"split": name, "dim": h.shape[1] if h.size else 128})
-        outputs.append(out / f"embeddings_{name}")
-    write_manifest(out, "embed", {}, [args.data, args.encoder], outputs, started)
-    print(f"embed: wrote embeddings to {out}")
+    return ([f"embeddings_{name}" for name in splits], None,
+            f"embed: wrote embeddings to {Path(args.out)}")
 
 
-def cmd_train(args):
-    started = _now()
-    out = _out_dir(args)
-    config = load_config(args)
-    section = stage_section(config, "train", {
-        "epochs": args.epochs, "patience": args.patience, "seed": args.seed,
-        "batch_size": args.batch_size})
+def cmd_train(args, out, section):
     tc = TrainConfig(
         lr=stage_setting(section, "lr", 1e-3, float, None),
         weight_decay=stage_setting(section, "weight_decay", 1e-4, float, None),
@@ -321,8 +333,6 @@ def cmd_train(args):
         patience=stage_setting(section, "patience", 10, int, None),
         seed=stage_setting(section, "seed", 0, int, 0),
         conditioned=not args.clean_only)
-    require_manifest(args.data, "train")
-    require_manifest(args.embeddings, "train")
     leads = (args.leads.split(",") if args.leads else list(TARGET_LEADS))
     bad = [l for l in leads if l not in TARGET_LEADS]
     if bad:
@@ -338,12 +348,11 @@ def cmd_train(args):
                                       stats, tc, log=print)
     save_decoders(out, results, stats)
     (out / "norm_stats.json").write_text(json.dumps(stats.to_dict()))
-    write_manifest(out, "train", dict(section, conditioned=tc.conditioned),
-                   [args.data, args.embeddings],
-                   [out / f"decoder_{l}.ckpt.json" for l in leads], started,
-                   {"best_val_loss": {l: r.best_val_loss for l, r in results.items()}})
-    print("train: " + ", ".join(f"{l} val={r.best_val_loss:.5f}"
-                                for l, r in results.items()))
+    section["conditioned"] = tc.conditioned
+    return ([f"decoder_{l}.ckpt.json" for l in leads],
+            {"best_val_loss": {l: r.best_val_loss for l, r in results.items()}},
+            "train: " + ", ".join(f"{l} val={r.best_val_loss:.5f}"
+                                  for l, r in results.items()))
 
 
 def _load_decoders(decoder_dir):
@@ -373,16 +382,12 @@ def _load_decoders(decoder_dir):
 
 
 def _test_records(split_dir):
-    split_path = Path(split_dir)
-    require_manifest(split_path, "test-records")
-    splits = json.loads((split_path / "splits.json").read_text())
+    splits = json.loads((Path(split_dir) / "splits.json").read_text())
     return _load_cleaned_records(splits["preprocessed_dir"],
                                  set(splits["records"]["test"]))
 
 
-def cmd_reconstruct(args):
-    started = _now()
-    out = _out_dir(args)
+def cmd_reconstruct(args, out, section):
     encoder = _load_encoder(args.encoder)
     decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
@@ -403,14 +408,11 @@ def cmd_reconstruct(args):
         sidecar[rec.record_id] = {
             lead: _rmse(recon[i], truth[i]) for i, lead in enumerate(TARGET_LEADS)}
     (out / "reconstruction_metrics.json").write_text(json.dumps(sidecar, indent=1))
-    write_manifest(out, "reconstruct", {}, [args.data, args.decoders], [rec_dir],
-                   started, {"n_records": len(records)})
-    print(f"reconstruct: wrote {len(records)} records to {rec_dir}")
+    return (["records"], {"n_records": len(records)}, f"reconstruct: wrote "
+            f"{len(records)} records to {Path(args.out) / 'records'}")
 
 
-def cmd_evaluate(args):
-    started = _now()
-    out = _out_dir(args)
+def cmd_evaluate(args, out, section):
     encoder = _load_encoder(args.encoder)
     decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
@@ -432,7 +434,7 @@ def cmd_evaluate(args):
         per_class.append(cls + "," + ",".join(
             f"{leads.get(l, float('nan')):.4f}" for l in TARGET_LEADS))
     (out / "per_class_rmse.csv").write_text("\n".join(per_class) + "\n")
-    outputs = [out / "report.json", out / "metrics.csv"]
+    outputs = ["report.json", "metrics.csv"]
     if args.baseline_decoders:
         base_decoders, base_stats, base_conditioned = _load_decoders(args.baseline_decoders)
         base_report = evaluate_model(records, encoder, base_decoders, base_stats,
@@ -441,19 +443,13 @@ def cmd_evaluate(args):
         (out / "comparison.csv").write_text(comparison_csv(rows))
         (out / "baseline_report.json").write_text(
             json.dumps(base_report.to_dict(), indent=1))
-        outputs.append(out / "comparison.csv")
-    write_manifest(out, "evaluate", {}, [args.data, args.decoders], outputs, started)
-    print(f"evaluate: mean segment RMSE {report.mean_segment_rmse:.4f} mV")
+        outputs.append("comparison.csv")
+    return (outputs, None,
+            f"evaluate: mean segment RMSE {report.mean_segment_rmse:.4f} mV")
 
 
-def cmd_affinity(args):
-    started = _now()
-    out = _out_dir(args)
-    config = load_config(args)
-    section = stage_section(config, "affinity", {"k": args.k})
+def cmd_affinity(args, out, section):
     k = stage_setting(section, "k", 10, int, 1)
-    require_manifest(args.data, "affinity")
-    require_manifest(args.embeddings, "affinity")
     split = args.split
     segments, _ = load_segments(Path(args.data) / f"segments_{split}")
     h, _ = load_vectors(Path(args.embeddings) / f"embeddings_{split}")
@@ -472,10 +468,9 @@ def cmd_affinity(args):
                "diagonal_consistency_h": diagonal_consistency(h_aff),
                "diagonal_consistency_x": diagonal_consistency(x_aff)}
     (out / "affinity_summary.json").write_text(json.dumps(summary, indent=1))
-    write_manifest(out, "affinity", section, [args.data, args.embeddings],
-                   [out / "affinity_h.csv", out / "affinity_x.csv"], started, summary)
-    print(f"affinity: diag(h)={summary['diagonal_consistency_h']:.3f} "
-          f"diag(x)={summary['diagonal_consistency_x']:.3f}")
+    return (["affinity_h.csv", "affinity_x.csv"], summary,
+            f"affinity: diag(h)={summary['diagonal_consistency_h']:.3f} "
+            f"diag(x)={summary['diagonal_consistency_x']:.3f}")
 
 
 def build_parser():
@@ -496,34 +491,36 @@ def build_parser():
     common(sp, "seed", "config")
     sp.add_argument("--classes", type=int, default=None)
     sp.add_argument("--patients", type=int, default=None)
-    sp.add_argument("--records", type=int, default=None)
+    sp.add_argument("--records", type=int, default=None, dest="records_per_patient",
+                    metavar="RECORDS")
     sp.add_argument("--duration", type=float, default=None)
     sp.add_argument("--class-specs", default=None, help="JSON class spec file")
-    sp.set_defaults(func=cmd_synth)
+    sp.set_defaults(func=cmd_synth, settings=(
+        "classes", "patients", "records_per_patient", "duration", "seed"))
 
     sp = sub.add_parser("preprocess", help="clean and resample a corpus")
     common(sp, "config")
     sp.add_argument("--data", required=True, help="corpus directory")
     sp.add_argument("--verify-checksums", action="store_true", default=None)
-    sp.set_defaults(func=cmd_preprocess)
+    sp.set_defaults(func=cmd_preprocess, settings=("verify_checksums",))
 
     sp = sub.add_parser("split", help="patient-wise split, QC, segment stores")
     common(sp, "config")
     sp.add_argument("--data", required=True, help="preprocessed directory")
-    sp.set_defaults(func=cmd_split)
+    sp.set_defaults(func=cmd_split, settings=())
 
     sp = sub.add_parser("pretrain", help="contrastive pretraining")
     common(sp, "seed", "config")
     sp.add_argument("--data", required=True, help="split directory")
     sp.add_argument("--epochs", type=int, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
-    sp.set_defaults(func=cmd_pretrain)
+    sp.set_defaults(func=cmd_pretrain, settings=("epochs", "batch_size", "seed"))
 
     sp = sub.add_parser("embed", help="export embeddings for all splits")
     common(sp)
     sp.add_argument("--data", required=True, help="split directory")
     sp.add_argument("--encoder", required=True, help="pretrain directory")
-    sp.set_defaults(func=cmd_embed)
+    sp.set_defaults(func=cmd_embed, settings=())
 
     sp = sub.add_parser("train", help="train per-lead decoders")
     common(sp, "seed", "config")
@@ -535,14 +532,15 @@ def build_parser():
     sp.add_argument("--epochs", type=int, default=None)
     sp.add_argument("--patience", type=int, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
-    sp.set_defaults(func=cmd_train)
+    sp.set_defaults(func=cmd_train,
+                    settings=("epochs", "patience", "seed", "batch_size"))
 
     sp = sub.add_parser("reconstruct", help="reconstruct full test records")
     common(sp)
     sp.add_argument("--data", required=True, help="split directory")
     sp.add_argument("--encoder", required=True)
     sp.add_argument("--decoders", required=True)
-    sp.set_defaults(func=cmd_reconstruct)
+    sp.set_defaults(func=cmd_reconstruct, settings=())
 
     sp = sub.add_parser("evaluate", help="metrics report on the test split")
     common(sp)
@@ -551,7 +549,7 @@ def build_parser():
     sp.add_argument("--decoders", required=True)
     sp.add_argument("--baseline-decoders", default=None,
                     help="second decoder set for a comparison table")
-    sp.set_defaults(func=cmd_evaluate)
+    sp.set_defaults(func=cmd_evaluate, settings=())
 
     sp = sub.add_parser("affinity", help="k-NN class-affinity matrices")
     common(sp, "config")
@@ -559,7 +557,7 @@ def build_parser():
     sp.add_argument("--embeddings", required=True, help="embed directory")
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
     sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_affinity)
+    sp.set_defaults(func=cmd_affinity, settings=("k",))
 
     return parser
 
@@ -568,7 +566,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        run_stage(args)
     except PipelineError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code

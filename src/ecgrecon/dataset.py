@@ -143,11 +143,12 @@ def segment_stats(segments):
     return ptp, rms
 
 
-def fit_qc_bounds(segments, lo_pct=0.1, hi_pct=99.9):
-    """Empirical percentile bounds fit on training-fold segments only."""
-    if not len(segments):
+def fit_qc_bounds(stats, lo_pct=0.1, hi_pct=99.9):
+    """Empirical percentile bounds over `segment_stats` of training-fold
+    segments only."""
+    ptps, rmss = stats
+    if not len(ptps):
         raise DataError("cannot fit QC bounds on zero segments")
-    ptps, rmss = segment_stats(segments)
     return QcBounds(
         leads=list(ALL_LEADS),
         ptp_lo=np.percentile(ptps, lo_pct, axis=0),
@@ -156,12 +157,13 @@ def fit_qc_bounds(segments, lo_pct=0.1, hi_pct=99.9):
         rms_hi=np.percentile(rmss, hi_pct, axis=0))
 
 
-def apply_qc(segments, bounds):
-    """Reject a segment iff any lead statistic falls strictly outside its
-    closed interval. Returns (kept, rejected): the kept `Segments` and, per
+def apply_qc(segments, stats, bounds):
+    """Reject a segment iff any lead statistic in `stats`, the
+    `segment_stats` of `segments`, falls strictly outside its closed
+    interval. Returns (kept, rejected): the kept `Segments` and, per
     rejected window, (its row in `segments`, its "<lead>:ptp" /
     "<lead>:rms" reasons)."""
-    ptp, rms = segment_stats(segments)
+    ptp, rms = stats
     names = [f"{lead}:{stat}" for lead in bounds.leads for stat in ("ptp", "rms")]
     out = np.stack([(ptp < bounds.ptp_lo) | (ptp > bounds.ptp_hi),
                     (rms < bounds.rms_lo) | (rms > bounds.rms_hi)], axis=2)

@@ -234,13 +234,14 @@ def get_parameter_vector(model):
 
 
 def set_parameter_vector(model, vec):
+    size = sum(p.tensor.size for p in model.parameters())
+    if size != vec.size:
+        raise DataError(f"parameter blob size {vec.size} != model size {size}")
     off = 0
     for p in model.parameters():
         n = p.tensor.size
         p.tensor.data = vec[off:off + n].reshape(p.tensor.shape).astype(np.float32).copy()
         off += n
-    if off != vec.size:
-        raise DataError(f"parameter blob size {vec.size} != model size {off}")
 
 
 def save_checkpoint(path, model, extra=None):
@@ -265,7 +266,10 @@ def load_checkpoint(path):
     blob_path = path.with_suffix(path.suffix + ".f32")
     if not desc_path.exists() or not blob_path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    desc = json.loads(desc_path.read_text())
+    try:
+        desc = json.loads(desc_path.read_text())
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise DataError(f"unreadable checkpoint descriptor {desc_path}: {exc}")
     if desc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unknown checkpoint format: {desc.get('format')}")
     arch = desc["architecture"]
@@ -273,6 +277,8 @@ def load_checkpoint(path):
     if cls is None:
         raise DataError(f"unknown model type: {arch['type']}")
     model = cls.from_config(arch)
-    vec = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
-    set_parameter_vector(model, np.array(vec))
+    raw = blob_path.read_bytes()
+    if len(raw) % 4:
+        raise DataError(f"{blob_path}: {len(raw)} bytes, not whole float32 values")
+    set_parameter_vector(model, np.frombuffer(raw, dtype="<f4").copy())
     return model, desc.get("extra")

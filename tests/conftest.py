@@ -7,7 +7,7 @@ import pytest
 from ecgrecon import dsp
 from ecgrecon.contrastive import PretrainConfig, embed_all, pretrain
 from ecgrecon.dataset import (Segments, apply_qc, fit_qc_bounds, segment_record,
-                              segment_record_nonoverlap, split_by_fold)
+                              segment_record_nonoverlap, segment_stats, split_by_fold)
 from ecgrecon.synth import builtin_class_specs, generate_corpus
 from ecgrecon.wfdb_io import SignalRecord
 
@@ -43,10 +43,10 @@ def desk_splits(desk_corpus):
     train = Segments.concat(segment_record(r) for r in splits["train"])
     val = Segments.concat(segment_record(r) for r in splits["val"])
     test = Segments.concat(segment_record_nonoverlap(r) for r in splits["test"])
-    bounds = fit_qc_bounds(train)
+    bounds = fit_qc_bounds(segment_stats(train))
     out = {}
     for name, segs in (("train", train), ("val", val), ("test", test)):
-        kept, _ = apply_qc(segs, bounds)
+        kept, _ = apply_qc(segs, segment_stats(segs), bounds)
         out[name] = kept
     out["test_records"] = splits["test"]
     return out

@@ -70,6 +70,8 @@ def test_evaluate_with_baseline_comparison(pipeline):
     assert set(report["segment_metrics"]) == {"V1", "V3", "V4", "V5", "V6"}
     assert (d["eval"] / "comparison.csv").read_text().startswith("lead,")
     assert (d["eval"] / "per_class_rmse.csv").exists()
+    manifest = json.loads((d["eval"] / "manifest.json").read_text())
+    assert manifest["inputs"] == [str(d[k]) for k in ("split", "pretrain", "dec", "dec_c")]
 
 
 def test_affinity_outputs(pipeline):
@@ -91,6 +93,8 @@ def test_reconstruct_outputs(pipeline):
     assert metrics
     headers = list((d["recon"] / "records").glob("*-recon.hea"))
     assert headers
+    manifest = json.loads((d["recon"] / "manifest.json").read_text())
+    assert manifest["inputs"] == [str(d[k]) for k in ("split", "pretrain", "dec")]
 
 
 def test_split_rerun_byte_identical(pipeline, tmp_path):
@@ -233,3 +237,125 @@ def test_pretrain_zero_epochs_is_legal(pipeline, tmp_path):
     d = pipeline
     assert main(["pretrain", "--out", str(tmp_path / "o"), "--data", str(d["split"]),
                  "--epochs", "0"]) == 0
+
+
+def test_split_computes_segment_stats_once_per_split(pipeline, tmp_path, monkeypatch):
+    import ecgrecon.cli as cli
+    import ecgrecon.dataset as dataset
+    original, calls = dataset.segment_stats, []
+
+    def counted(segments):
+        calls.append(len(segments))
+        return original(segments)
+
+    monkeypatch.setattr(dataset, "segment_stats", counted)
+    monkeypatch.setattr(cli, "segment_stats", counted)
+    assert main(["split", "--out", str(tmp_path / "s"), "--data", str(pipeline["pre"])]) == 0
+    assert len(calls) == 3
+
+
+SYNTH_1X1 = ["--classes", "1", "--patients", "1", "--records", "1", "--duration", "1"]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--classes", "-1"), ("--patients", "0"), ("--records", "0"),
+    ("--duration", "0"), ("--duration", "-1"), ("--duration", "0.005"),
+])
+def test_synth_setting_below_floor_exit_2(tmp_path, capsys, option, value):
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), *SYNTH_1X1, option, value]) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+    assert not out.exists()
+
+
+def test_synth_at_floors_publishes_like_mkdir(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), *SYNTH_1X1, "--duration", "0.01"]) == 0
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    assert out.stat().st_mode == probe.stat().st_mode
+    assert ".tmp" not in capsys.readouterr().out
+    assert ".tmp" not in (out / "manifest.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "probe"]
+
+
+def _cut(path, n):
+    path.write_bytes(path.read_bytes()[:-n])
+
+
+@pytest.mark.parametrize("cut", [100, 3])
+def test_truncated_encoder_blob_exit_4(pipeline, tmp_path, cut):
+    d = pipeline
+    pt = tmp_path / "pt"
+    shutil.copytree(d["pretrain"], pt)
+    _cut(pt / "encoder.ckpt.f32", cut)
+    assert main(["embed", "--out", str(tmp_path / "o"), "--data", str(d["split"]),
+                 "--encoder", str(pt)]) == 4
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda dec: _cut(dec / "decoder_V4.ckpt.f32", 100), id="blob"),
+    pytest.param(lambda dec: _cut(dec / "decoder_V4.ckpt.json", 100), id="json"),
+])
+def test_unreadable_decoder_checkpoint_exit_4(pipeline, tmp_path, damage):
+    d = pipeline
+    dec = tmp_path / "dec"
+    shutil.copytree(d["dec"], dec)
+    damage(dec)
+    assert main(["evaluate", "--out", str(tmp_path / "o"), "--data", str(d["split"]),
+                 "--encoder", str(d["pretrain"]), "--decoders", str(dec)]) == 4
+
+
+def test_corrupt_upstream_manifest_exit_3(pipeline, tmp_path, capsys):
+    split = tmp_path / "split"
+    shutil.copytree(pipeline["split"], split)
+    _cut(split / "manifest.json", 10)
+    assert main(["pretrain", "--out", str(tmp_path / "o"), "--data", str(split),
+                 "--epochs", "0"]) == 3
+    assert capsys.readouterr().err.startswith("error:dependency:")
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): _sha(p) for p in Path(root).rglob("*") if p.is_file()}
+
+
+def test_failed_rerun_keeps_earlier_output(pipeline, tmp_path):
+    pre = tmp_path / "pre"
+    shutil.copytree(pipeline["pre"], pre)
+    before = _tree(pre)
+    raw = tmp_path / "raw"
+    assert main(["synth", "--out", str(raw), "--classes", "3", "--patients", "4",
+                 "--records", "1", "--duration", "6", "--seed", "1"]) == 0
+    sorted((raw / "records").glob("*.dat"))[-1].unlink()
+    assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 4
+    assert _tree(pre) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pre", "raw"]
+
+
+def test_rerun_drops_stale_outputs(pipeline, tmp_path):
+    d = pipeline
+    out = tmp_path / "eval"
+    common = ["evaluate", "--out", str(out), "--data", str(d["split"]),
+              "--encoder", str(d["pretrain"]), "--decoders", str(d["dec"])]
+    assert main([*common, "--baseline-decoders", str(d["dec_c"])]) == 0
+    assert (out / "comparison.csv").exists()
+    assert main(common) == 0
+    assert not (out / "comparison.csv").exists()
+    assert not (out / "baseline_report.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == [str(d[k]) for k in ("split", "pretrain", "dec")]
+    assert [p.name for p in tmp_path.iterdir()] == ["eval"]
+
+
+@pytest.mark.parametrize("manifest", [None, {"command": "preprocess"}],
+                         ids=["no-manifest", "other-stage"])
+def test_foreign_out_exit_2(tmp_path, capsys, manifest):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me")
+    if manifest is not None:
+        (out / "manifest.json").write_text(json.dumps(manifest))
+    before = _tree(out)
+    assert main(["synth", "--out", str(out), *SYNTH_1X1]) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+    assert _tree(out) == before

@@ -118,7 +118,7 @@ def test_qc_bounds_uniform_grid_oracle():
     base = rng.normal(size=(8, 256))
     values = np.linspace(0.0, 1.0, 1000)
     segs = _windows(base[None] * values[:, None, None] + 0.001)
-    bounds = fit_qc_bounds(segs)
+    bounds = fit_qc_bounds(segment_stats(segs))
     # statistics scale linearly with v; percentile targets land near the
     # 0.1% / 99.9% grid points
     stats = segment_stats(segs)[0][:, 0]
@@ -133,29 +133,31 @@ def test_qc_bounds_uniform_grid_oracle():
 
 def test_qc_bounds_single_segment_degenerate():
     seg = _segment_with_stat(0.5)
-    bounds = fit_qc_bounds(seg)
+    bounds = fit_qc_bounds(segment_stats(seg))
     np.testing.assert_allclose(bounds.ptp_lo, bounds.ptp_hi)
     np.testing.assert_allclose(bounds.rms_lo, bounds.rms_hi)
 
 
 def test_qc_bounds_identical_segments():
     segs = Segments.concat([_segment_with_stat(0.5)] * 10)
-    bounds = fit_qc_bounds(segs)
+    bounds = fit_qc_bounds(segment_stats(segs))
     np.testing.assert_allclose(bounds.ptp_lo, bounds.ptp_hi)
 
 
 def test_apply_qc_boundary_is_kept():
     seg = _segment_with_stat(0.5)
-    bounds = fit_qc_bounds(seg)  # bounds equal the statistic exactly
-    kept, rejected = apply_qc(seg, bounds)
+    # bounds equal the statistic exactly
+    bounds = fit_qc_bounds(segment_stats(seg))
+    kept, rejected = apply_qc(seg, segment_stats(seg), bounds)
     assert len(kept) == 1 and np.array_equal(kept.x, seg.x) and rejected == []
 
 
 def test_apply_qc_rejects_and_names_lead():
     segs = Segments.concat(_segment_with_stat(v) for v in np.linspace(0.4, 0.6, 50))
-    bounds = fit_qc_bounds(segs)
+    bounds = fit_qc_bounds(segment_stats(segs))
     outlier = _segment_with_stat(5.0)
-    kept, rejected = apply_qc(Segments.concat([segs, outlier]), bounds)
+    both = Segments.concat([segs, outlier])
+    kept, rejected = apply_qc(both, segment_stats(both), bounds)
     assert len(rejected) >= 1
     bad, reasons = rejected[-1]
     assert bad == len(segs)         # the outlier's row
@@ -167,9 +169,9 @@ def test_apply_qc_rejects_and_names_lead():
 def test_apply_qc_idempotent():
     segs = Segments.concat(_segment_with_stat(v, seed=i) for i, v in
                            enumerate(np.linspace(0.3, 0.7, 100)))
-    bounds = fit_qc_bounds(segs)
-    kept, _ = apply_qc(segs, bounds)
-    kept2, rejected2 = apply_qc(kept, bounds)
+    bounds = fit_qc_bounds(segment_stats(segs))
+    kept, _ = apply_qc(segs, segment_stats(segs), bounds)
+    kept2, rejected2 = apply_qc(kept, segment_stats(kept), bounds)
     assert rejected2 == []
     assert len(kept2) == len(kept)
 
@@ -240,7 +242,7 @@ def test_vector_store_round_trip(tmp_path):
 def test_qc_bounds_serialization_round_trip():
     segs = Segments.concat(_segment_with_stat(v, seed=i) for i, v in
                            enumerate(np.linspace(0.3, 0.7, 20)))
-    bounds = fit_qc_bounds(segs)
+    bounds = fit_qc_bounds(segment_stats(segs))
     back = QcBounds.from_dict(bounds.to_dict())
     np.testing.assert_allclose(back.ptp_lo, bounds.ptp_lo)
     np.testing.assert_allclose(back.rms_hi, bounds.rms_hi)
