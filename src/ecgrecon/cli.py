@@ -90,7 +90,10 @@ def stage_section(args):
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
-    section = dict(config.get(args.command, {}))
+    section = config.get(args.command, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {args.command!r} must be a JSON object")
+    section = dict(section)
     for key in args.settings:
         if getattr(args, key) is not None:
             section[key] = getattr(args, key)
@@ -108,6 +111,14 @@ def stage_setting(section, key, default, kind, least):
     if least is not None and number < least:
         raise ConfigError(f"{key} must be at least {least}, got {value!r}")
     return number
+
+
+def _read_json(path):
+    """A JSON file that an upstream stage wrote; unreadable is a DataError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:   # missing, not UTF-8, or not JSON
+        raise DataError(f"unreadable {path}: {exc}")
 
 
 # upstream directories a stage can name, in the order its manifest lists them
@@ -247,7 +258,7 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
     from .wfdb_io import DiagnosticLabels
     pre = Path(preprocessed_dir)
     require_manifest(pre, "load-cleaned")
-    index = json.loads((pre / "records_index.json").read_text())
+    index = _read_json(pre / "records_index.json")
     records = []
     for entry in index:
         if record_ids is not None and entry["record_id"] not in record_ids:
@@ -262,6 +273,11 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
 
 
 def cmd_split(args, out, section):
+    lo_pct = stage_setting(section, "lo_pct", 0.1, float, 0)
+    hi_pct = stage_setting(section, "hi_pct", 99.9, float, None)
+    if not lo_pct < hi_pct <= 100:
+        raise ConfigError(f"need 0 <= lo_pct < hi_pct <= 100, got lo_pct={lo_pct}, "
+                          f"hi_pct={hi_pct}")
     records = _load_cleaned_records(args.data)
     splits = split_by_fold(records)
     windows = {"train": Segments.concat(segment_record(r) for r in splits["train"]),
@@ -271,9 +287,7 @@ def cmd_split(args, out, section):
     if not len(windows["train"]):
         raise DataError("no training segments")
     stats = {name: segment_stats(segs) for name, segs in windows.items()}
-    bounds = fit_qc_bounds(stats["train"],
-                           lo_pct=stage_setting(section, "lo_pct", 0.1, float, None),
-                           hi_pct=stage_setting(section, "hi_pct", 99.9, float, None))
+    bounds = fit_qc_bounds(stats["train"], lo_pct=lo_pct, hi_pct=hi_pct)
     provenance = {"fit_on": "train", "bounds": bounds.to_dict()}
     kept = {}
     rejected_counts = {}
@@ -377,12 +391,12 @@ def _load_decoders(decoder_dir):
         stats_path = path / "norm_stats.json"
         if not stats_path.exists():
             raise DependencyError(f"missing norm_stats under {decoder_dir}")
-        stats = NormStats.from_dict(json.loads(stats_path.read_text()))
+        stats = NormStats.from_dict(_read_json(stats_path))
     return decoders, stats, bool(manifest.get("config", {}).get("conditioned", True))
 
 
 def _test_records(split_dir):
-    splits = json.loads((Path(split_dir) / "splits.json").read_text())
+    splits = _read_json(Path(split_dir) / "splits.json")
     return _load_cleaned_records(splits["preprocessed_dir"],
                                  set(splits["records"]["test"]))
 

@@ -214,7 +214,10 @@ def _read_store(path_prefix, fmt, what, shape_of):
     blob_path = Path(str(path_prefix) + ".f32")
     if not man_path.exists() or not blob_path.exists():
         raise DataError(f"{what} store not found: {path_prefix}")
-    manifest = json.loads(man_path.read_text())
+    try:
+        manifest = json.loads(man_path.read_text())
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise DataError(f"unreadable {what} store manifest {man_path}: {exc}")
     if manifest.get("format") != fmt:
         raise DataError(f"unknown {what} store format: {manifest.get('format')}")
     shape = tuple(shape_of(manifest))

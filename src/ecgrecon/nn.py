@@ -183,8 +183,11 @@ class LeadDecoder(Module):
     """Per-lead decoder over the stacked 256-channel latent tensor.
 
     The normalized window and the time-broadcast embedding are each
-    projected to 128 channels, concatenated to [B, 256, 256], fused by a
-    pointwise conv, and decoded to one 256-sample lead.
+    projected to 128 channels, concatenated to 256 channels, fused by a
+    pointwise conv, and decoded to one 256-sample lead. That block is
+    linear, so `forward` runs it as one `fused_projection` op and never
+    builds the [B, 256, 256] concat; `x_proj`, `h_proj` and `fusion` hold
+    its parameters.
     """
 
     def __init__(self, lead="V1", seed=0, fusion_ch=32, temporal_ch=16):
@@ -199,10 +202,10 @@ class LeadDecoder(Module):
 
     def forward(self, x_hat, h_hat):
         t_len = x_hat.shape[2]
-        xp = self.x_proj(x_hat)
-        hp = T.broadcast_over_time(self.h_proj(h_hat), t_len)
-        stacked = T.concat([xp, hp], axis=1)
-        fused = T.relu(self.fusion(stacked))
+        fused = T.relu(T.fused_projection(
+            x_hat, h_hat, self.x_proj.weight.tensor, self.x_proj.bias.tensor,
+            self.h_proj.weight.tensor, self.h_proj.bias.tensor,
+            self.fusion.weight.tensor, self.fusion.bias.tensor))
         out = self.temp2(T.relu(self.temp1(fused)))
         return T.reshape(out, (out.shape[0], t_len))
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ALL_LEADS
+from .errors import ConfigError
 from .wfdb_io import DiagnosticLabels, SignalRecord
 
 
@@ -54,7 +55,11 @@ class SynthClassSpec:
 
 def load_class_specs(path):
     """Read a list of SynthClassSpec from a JSON file."""
-    data = json.loads(open(path).read())
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:   # missing, not UTF-8, or not JSON
+        raise ConfigError(f"unreadable class spec file {path}: {exc}")
     return [SynthClassSpec.from_dict(d) for d in data]
 
 

@@ -343,6 +343,60 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     return _make(data, parents, backward)
 
 
+def fused_projection(x, h, wx, bx, wh, bh, wf, bf):
+    """The linear fusion block `conv1d(concat([conv1d(x, wx, bx),
+    broadcast_over_time(h @ wh + bh)]), wf, bf)` as one op.
+
+    x [B, Cx, T], h [B, D]; wx [P, Cx, 1], bx [P]; wh [D, Q], bh [Q];
+    wf [F, P + Q, 1], bf [F] -> [B, F, T]. No nonlinearity sits between
+    the layers, so with wf = [Wf_x | Wf_h] split on its input channels the
+    block is (Wf_x Wx) x plus a per-row constant over time, and the
+    [B, P + Q, T] concat is never built. Results differ from the unfused
+    graph by float re-association only.
+    """
+    if (x.data.ndim != 3 or h.data.ndim != 2 or x.shape[0] != h.shape[0]
+            or wx.data.ndim != 3 or wx.shape[1:] != (x.shape[1], 1)
+            or wh.data.ndim != 2 or wh.shape[0] != h.shape[1]
+            or wf.data.ndim != 3
+            or wf.shape[1:] != (wx.shape[0] + wh.shape[1], 1)):
+        raise ShapeError("fused_projection", x.shape, h.shape, wx.shape,
+                         wh.shape, wf.shape)
+    p = wx.shape[0]
+    wx2 = wx.data[:, :, 0]                  # [P, Cx]
+    wf_x, wf_h = wf.data[:, :p, 0], wf.data[:, p:, 0]
+    a = wf_x @ wx2                          # [F, Cx]
+    hp = h.data @ wh.data + bh.data         # [B, Q]
+    c = hp @ wf_h.T + (wf_x @ bx.data + bf.data)
+    data = np.matmul(a, x.data)
+    data += c[:, :, None]
+
+    def backward(g):
+        s = _sum64(g, axis=2)               # [B, F]
+        s_b = _sum64(s, axis=0)             # [F]
+        gx = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))    # [F, Cx]
+        if wx.requires_grad:
+            wx._accumulate((wf_x.T @ gx)[:, :, None])
+        if bx.requires_grad:
+            bx._accumulate(wf_x.T @ s_b)
+        if wf.requires_grad:
+            gwf = np.concatenate([gx @ wx2.T + np.outer(s_b, bx.data), s.T @ hp],
+                                 axis=1)
+            wf._accumulate(gwf[:, :, None])
+        if bf.requires_grad:
+            bf._accumulate(s_b)
+        ghp = s @ wf_h                      # [B, Q]
+        if wh.requires_grad:
+            wh._accumulate(h.data.T @ ghp)
+        if bh.requires_grad:
+            bh._accumulate(s_b @ wf_h)
+        if h.requires_grad:
+            h._accumulate(ghp @ wh.data.T)
+        if x.requires_grad:
+            x._accumulate(np.matmul(a.T, g))
+
+    return _make(data, (x, h, wx, bx, wh, bh, wf, bf), backward)
+
+
 def global_avg_pool(x):
     """Mean over the time axis: [B, C, T] -> [B, C]."""
     if x.data.ndim != 3:

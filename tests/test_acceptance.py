@@ -88,6 +88,9 @@ def _grad_builders(rng):
         stacked = T.concat([l[0], T.broadcast_over_time(l[1], 6)], axis=1)
         return T.tensor_sum(T.mul(stacked, l[2]))
 
+    def fused_projection(l):
+        return T.tensor_sum(T.mul(T.fused_projection(*l[:8]), l[8]))
+
     def supcon(l):
         labels = [frozenset({"A"}), frozenset({"A"}),
                   frozenset({"B"}), frozenset({"B"})]
@@ -126,6 +129,10 @@ def _grad_builders(rng):
         # central-difference truncation error below the tolerance
         ("contrastive-loss", supcon, [n(4, 3)], 1e-4),
         ("reconstruction-loss", recon, [base, target], 1e-3),
+        # x, h, wx, bx, wh, bh, wf, bf: F=3, 5 channels per branch
+        ("fused-projection", fused_projection,
+         [n(2, 3, 6), n(2, 4), n(5, 3, 1), n(5), n(4, 5), n(5), n(3, 10, 1),
+          n(3), n(2, 3, 6)], 1e-3),
     ]
 
 
@@ -139,7 +146,7 @@ def test_acceptance_02_gradient_suite():
             n_checks += 1
     elapsed = time.perf_counter() - t0
     _report("02 gradient finite-difference suite",
-            n_checks == 21 * 9 and elapsed < 30.0,
+            n_checks == 21 * 10 and elapsed < 30.0,
             f"{n_checks} checks over 21 seeds, rel err < 1e-4, {elapsed:.1f}s")
 
 

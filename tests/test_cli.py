@@ -217,6 +217,7 @@ def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
     pytest.param("train", ["--epochs", "0"], None, id="train-epochs-0"),
     pytest.param("train", [], {"train": {"patience": [3]}}, id="train-patience-list"),
     pytest.param("affinity", ["--k", "0"], None, id="affinity-k-0"),
+    pytest.param("train", [], {"train": 5}, id="train-section-int"),
 ])
 def test_bad_stage_setting_exit_2(pipeline, tmp_path, capsys, stage, options, config):
     d = pipeline
@@ -313,6 +314,50 @@ def test_corrupt_upstream_manifest_exit_3(pipeline, tmp_path, capsys):
     assert main(["pretrain", "--out", str(tmp_path / "o"), "--data", str(split),
                  "--epochs", "0"]) == 3
     assert capsys.readouterr().err.startswith("error:dependency:")
+
+
+@pytest.mark.parametrize("stage, damaged", [
+    pytest.param("embed", "split/segments_train.manifest.json", id="store-manifest"),
+    pytest.param("split", "pre/records_index.json", id="records-index"),
+    pytest.param("evaluate", "split/splits.json", id="splits"),
+])
+def test_unreadable_json_input_exit_4(pipeline, tmp_path, capsys, stage, damaged):
+    d = pipeline
+    for name in ("pre", "split"):
+        shutil.copytree(d[name], tmp_path / name)
+    _cut(tmp_path / damaged, 10)
+    inputs = {"embed": ["--data", str(tmp_path / "split"), "--encoder", str(d["pretrain"])],
+              "split": ["--data", str(tmp_path / "pre")],
+              "evaluate": ["--data", str(tmp_path / "split"), "--encoder",
+                           str(d["pretrain"]), "--decoders", str(d["dec"])]}[stage]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), *inputs]) == 4
+    assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
+
+
+def test_unreadable_class_specs_exit_2(tmp_path, capsys):
+    specs = tmp_path / "specs.json"
+    specs.write_text('[{"class_name": "A",')
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--class-specs", str(specs)]) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"lo_pct": 150}, id="lo-above-100"),
+    pytest.param({"hi_pct": -5}, id="hi-below-0"),
+    pytest.param({"lo_pct": 90, "hi_pct": 10}, id="lo-above-hi"),
+])
+def test_split_percentiles_out_of_order_exit_2(pipeline, tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"split": config}))
+    out = tmp_path / "o"
+    assert main(["split", "--out", str(out), "--data", str(pipeline["pre"]),
+                 "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+    assert not out.exists()
 
 
 def _tree(root):

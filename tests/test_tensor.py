@@ -115,6 +115,10 @@ def test_graph_without_grad_records_no_closures():
     h = Tensor(rng.normal(size=(2, 4)))
     out = T.conv1d(x, w, Tensor(np.zeros(4)), stride=1, padding=1)
     out = T.concat([T.relu(out), T.broadcast_over_time(h, 8)], axis=1)
+    out = T.fused_projection(out, h, Tensor(rng.normal(size=(5, 8, 1))),
+                             Tensor(np.zeros(5)), Tensor(rng.normal(size=(4, 3))),
+                             Tensor(np.zeros(3)), Tensor(rng.normal(size=(8, 8, 1))),
+                             Tensor(np.zeros(8)))
     loss = T.l2_normalize(T.matmul(T.global_avg_pool(out), Tensor(np.ones((8, 2)))))
     loss = T.tensor_sum(T.exp(loss) * 2.0 - T.log(T.absolute(loss) + 1.0))
     nodes, stack = [], [loss]
@@ -152,6 +156,55 @@ def test_broadcast_over_time_and_concat_grad():
         return T.tensor_sum(T.mul(cat, Tensor(proj, dtype=np.float64)))
 
     finite_diff_check(loss, [v, x])
+
+
+def _unfused_projection(x, h, wx, bx, wh, bh, wf, bf):
+    """The decoder's fusion block as separate tape ops."""
+    xp = T.conv1d(x, wx, bx)
+    hp = T.broadcast_over_time(T.add(T.matmul(h, wh), bh), x.shape[2])
+    return T.conv1d(T.concat([xp, hp], axis=1), wf, bf)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("inputs_grad", [False, True], ids=["params", "inputs"])
+def test_fused_projection_matches_unfused_graph(dtype, tol, inputs_grad):
+    # decoder shapes: x [B, 3, T], h [B, 128] -> 128 + 128 channels -> 32
+    rng = np.random.default_rng(7)
+    arrays = [rng.normal(size=s) for s in
+              [(4, 3, 32), (4, 128), (128, 3, 1), (128,), (128, 128), (128,),
+               (32, 256, 1), (32,)]]
+    proj = rng.normal(size=(4, 32, 32))
+
+    def run(op):
+        leaves = [Tensor(a, requires_grad=i >= 2 or inputs_grad, dtype=dtype)
+                  for i, a in enumerate(arrays)]
+        out = op(*leaves)
+        T.tensor_sum(T.mul(out, Tensor(proj, dtype=dtype))).backward()
+        return out.data, [l.grad for l in leaves]
+
+    got, got_grads = run(T.fused_projection)
+    want, want_grads = run(_unfused_projection)
+
+    def rel(a, b):
+        return np.max(np.abs(a.astype(np.float64) - b)) / np.max(np.abs(b))
+
+    assert got.dtype == dtype and got.shape == want.shape
+    assert rel(got, want) < tol
+    for g, w in zip(got_grads, want_grads):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == dtype and g.shape == w.shape and rel(g, w) < tol
+    assert (got_grads[0] is None) == (not inputs_grad)
+
+
+def test_fused_projection_rejects_mismatched_shapes():
+    z = lambda *s: Tensor(np.zeros(s))  # noqa: E731
+    with pytest.raises(ShapeError, match="fused_projection"):
+        # fusion expects 5 + 5 input channels, not 9
+        T.fused_projection(z(2, 3, 6), z(2, 4), z(5, 3, 1), z(5), z(4, 5), z(5),
+                           z(3, 9, 1), z(3))
 
 
 def test_backward_requires_scalar():
