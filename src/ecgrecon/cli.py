@@ -71,9 +71,12 @@ def require_manifest(directory, stage):
     if not path.exists():
         raise DependencyError(f"{stage}: missing upstream manifest {path}")
     try:
-        return json.loads(path.read_text())
+        manifest = json.loads(path.read_text())
     except ValueError as exc:   # not UTF-8, or not JSON
         raise DependencyError(f"{stage}: unreadable upstream manifest {path}: {exc}")
+    if not isinstance(manifest, dict):
+        raise DependencyError(f"{stage}: upstream manifest {path} is not a JSON object")
+    return manifest
 
 
 def stage_section(args):
@@ -113,12 +116,17 @@ def stage_setting(section, key, default, kind, least):
     return number
 
 
-def _read_json(path):
-    """A JSON file that an upstream stage wrote; unreadable is a DataError."""
+def _read_json(path, kind):
+    """A JSON file that an upstream stage wrote, whose top level is a `kind`
+    (dict or list); unreadable, or of another type, is a DataError."""
     try:
-        return json.loads(Path(path).read_text())
+        value = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:   # missing, not UTF-8, or not JSON
         raise DataError(f"unreadable {path}: {exc}")
+    if not isinstance(value, kind):
+        raise DataError(f"{path}: top level is not a JSON "
+                        f"{'object' if kind is dict else 'array'}")
+    return value
 
 
 # upstream directories a stage can name, in the order its manifest lists them
@@ -258,7 +266,7 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
     from .wfdb_io import DiagnosticLabels
     pre = Path(preprocessed_dir)
     require_manifest(pre, "load-cleaned")
-    index = _read_json(pre / "records_index.json")
+    index = _read_json(pre / "records_index.json", list)
     records = []
     for entry in index:
         if record_ids is not None and entry["record_id"] not in record_ids:
@@ -391,12 +399,12 @@ def _load_decoders(decoder_dir):
         stats_path = path / "norm_stats.json"
         if not stats_path.exists():
             raise DependencyError(f"missing norm_stats under {decoder_dir}")
-        stats = NormStats.from_dict(_read_json(stats_path))
+        stats = NormStats.from_dict(_read_json(stats_path, dict))
     return decoders, stats, bool(manifest.get("config", {}).get("conditioned", True))
 
 
 def _test_records(split_dir):
-    splits = _read_json(Path(split_dir) / "splits.json")
+    splits = _read_json(Path(split_dir) / "splits.json", dict)
     return _load_cleaned_records(splits["preprocessed_dir"],
                                  set(splits["records"]["test"]))
 

@@ -218,6 +218,8 @@ def _read_store(path_prefix, fmt, what, shape_of):
         manifest = json.loads(man_path.read_text())
     except ValueError as exc:   # not UTF-8, or not JSON
         raise DataError(f"unreadable {what} store manifest {man_path}: {exc}")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{what} store manifest {man_path} is not a JSON object")
     if manifest.get("format") != fmt:
         raise DataError(f"unknown {what} store format: {manifest.get('format')}")
     shape = tuple(shape_of(manifest))

@@ -273,6 +273,8 @@ def load_checkpoint(path):
         desc = json.loads(desc_path.read_text())
     except ValueError as exc:   # not UTF-8, or not JSON
         raise DataError(f"unreadable checkpoint descriptor {desc_path}: {exc}")
+    if not isinstance(desc, dict):
+        raise DataError(f"checkpoint descriptor {desc_path} is not a JSON object")
     if desc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unknown checkpoint format: {desc.get('format')}")
     arch = desc["architecture"]

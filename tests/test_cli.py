@@ -336,6 +336,42 @@ def test_unreadable_json_input_exit_4(pipeline, tmp_path, capsys, stage, damaged
     assert not out.exists()
 
 
+def _drop_norm_stats_extra(dec):
+    """Decoder checkpoints without the norm_stats copy, so that loading the
+    decoder set reads `norm_stats.json`."""
+    for path in dec.glob("decoder_*.ckpt.json"):
+        desc = json.loads(path.read_text())
+        del desc["extra"]["norm_stats"]
+        path.write_text(json.dumps(desc))
+
+
+@pytest.mark.parametrize("stage, damaged, content, code", [
+    pytest.param("embed", "split/segments_train.manifest.json", "[]", 4,
+                 id="store-manifest"),
+    pytest.param("split", "pre/records_index.json", "5", 4, id="records-index"),
+    pytest.param("evaluate", "split/splits.json", "[]", 4, id="splits"),
+    pytest.param("evaluate", "dec/norm_stats.json", "5", 4, id="norm-stats"),
+    pytest.param("evaluate", "dec/decoder_V4.ckpt.json", "[]", 4, id="checkpoint"),
+    pytest.param("evaluate", "dec/manifest.json", "[]", 3, id="upstream-manifest"),
+])
+def test_json_input_of_wrong_type_exit(pipeline, tmp_path, capsys, stage, damaged,
+                                       content, code):
+    d = pipeline
+    for name in ("pre", "split", "dec"):
+        shutil.copytree(d[name], tmp_path / name)
+    _drop_norm_stats_extra(tmp_path / "dec")
+    (tmp_path / damaged).write_text(content)
+    inputs = {"embed": ["--data", str(tmp_path / "split"), "--encoder", str(d["pretrain"])],
+              "split": ["--data", str(tmp_path / "pre")],
+              "evaluate": ["--data", str(tmp_path / "split"), "--encoder",
+                           str(d["pretrain"]), "--decoders", str(tmp_path / "dec")]}[stage]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), *inputs]) == code
+    category = {3: "dependency", 4: "data"}[code]
+    assert capsys.readouterr().err.startswith(f"error:{category}:")
+    assert not out.exists()
+
+
 def test_unreadable_class_specs_exit_2(tmp_path, capsys):
     specs = tmp_path / "specs.json"
     specs.write_text('[{"class_name": "A",')

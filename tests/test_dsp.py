@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from ecgrecon import dsp
+from ecgrecon.cli import main
 from ecgrecon.dsp import (FilterSpec, bandpass_filter, baseline_remove,
                           clean_signal, design_bandpass, detect_r_peaks,
                           notch_filter, resample_to_100hz)
 from ecgrecon.errors import FilterSpecError, UnsupportedRateError
 from ecgrecon.synth import builtin_class_specs, generate_record
+from ecgrecon.wfdb_io import SignalRecord, load_record, write_record
 
 
 def _rms(x):
@@ -68,6 +72,50 @@ def test_bandpass_no_fallback_needed_at_100hz():
     assert high == 45.0 and not fell_back
 
 
+def test_design_bandpass_returns_callers_own_copy():
+    sos, _, _ = design_bandpass(100.0)
+    want = sos.copy()
+    assert sos.flags.writeable
+    sos[:] = 0.0
+    np.testing.assert_array_equal(design_bandpass(100.0)[0], want)
+
+
+def _mixed_rate_corpus(root):
+    """A PTB-XL-layout corpus of 10 s records: R0, R1 at 100 Hz, R2, R3 at 500 Hz."""
+    spec = builtin_class_specs()[0]
+    name = spec.class_name
+    rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
+    for i, fs in enumerate((100.0, 100.0, 500.0, 500.0)):
+        write_record(generate_record(spec, 10.0, fs, seed=i, record_id=f"R{i}",
+                                     patient_id=f"P{i}"), root / "records")
+        rows.append(f'R{i},P{i},"{{\'{name}\': 100.0}}",{i + 1},records/R{i}')
+    (root / "database.csv").write_text("\n".join(rows) + "\n")
+    (root / "scp_statements.csv").write_text(f"code,diagnostic_class\n{name},{name}\n")
+
+
+def test_preprocess_designs_one_bandpass_per_rate(tmp_path, monkeypatch):
+    raw, pre = tmp_path / "raw", tmp_path / "pre"
+    _mixed_rate_corpus(raw)
+    butter = dsp.signal.butter
+    designs = []
+
+    def counting_butter(*args, **kwargs):
+        if kwargs.get("btype") == "bandpass":
+            designs.append(kwargs["fs"])
+        return butter(*args, **kwargs)
+
+    dsp._bandpass_sos.cache_clear()
+    monkeypatch.setattr(dsp.signal, "butter", counting_butter)
+    assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
+    assert sorted(designs) == [100.0, 500.0]
+    for i in range(4):
+        rec = load_record(raw / "records" / f"R{i}.hea")
+        write_record(SignalRecord(clean_signal(rec.samples, rec.fs), 100.0,
+                                  rec.lead_names, rec.record_id), tmp_path / "want")
+        assert ((pre / "cleaned" / f"R{i}.dat").read_bytes()
+                == (tmp_path / "want" / f"R{i}.dat").read_bytes())
+
+
 def test_filters_length_preserving_and_linear():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=1000), rng.normal(size=1000)
@@ -99,6 +147,27 @@ def test_baseline_offset_invariance():
     a = baseline_remove(x, 100.0)
     b = baseline_remove(x + 3.25, 100.0)
     np.testing.assert_allclose(a, b, atol=1e-9)
+
+
+def _nd_baseline_remove(x, fs):
+    """The two median stages as one n-D filter over time only: the reference
+    that the per-lead running medians of `baseline_remove` must equal."""
+    spec = FilterSpec()
+    lead_axes = (1,) * (x.ndim - 1)
+    baseline = x
+    for seconds in (spec.median_win_short, spec.median_win_long):
+        w = dsp._odd_window(seconds, fs)
+        baseline = ndimage.median_filter(baseline, size=lead_axes + (w,), mode="reflect")
+    return x - baseline
+
+
+@pytest.mark.parametrize("shape", [(1000,), (8, 1000), (2, 8, 1000), (8, 5), (8, 1),
+                                   (3, 0), (0, 100)])
+def test_baseline_rows_equal_nd_median_filter(shape):
+    x = np.random.default_rng(6).normal(size=shape)
+    out = baseline_remove(x, 100.0)
+    assert out.shape == shape
+    np.testing.assert_array_equal(out, _nd_baseline_remove(x, 100.0))
 
 
 def test_baseline_kills_slow_wander_keeps_impulses():
