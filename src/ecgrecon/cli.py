@@ -116,6 +116,9 @@ def stage_setting(section, key, default, kind, least):
     return number
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
 def _read_json(path, kind):
     """A JSON file that an upstream stage wrote, whose top level is a `kind`
     (dict or list); unreadable, or of another type, is a DataError."""
@@ -124,8 +127,17 @@ def _read_json(path, kind):
     except (OSError, ValueError) as exc:   # missing, not UTF-8, or not JSON
         raise DataError(f"unreadable {path}: {exc}")
     if not isinstance(value, kind):
-        raise DataError(f"{path}: top level is not a JSON "
-                        f"{'object' if kind is dict else 'array'}")
+        raise DataError(f"{path}: top level is not a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _field(obj, key, kind, where):
+    """`obj[key]` of upstream JSON, which must be a `kind` (a JSON type in
+    `_JSON_TYPES`); `obj` that is not an object, a missing key or a value
+    of another type is a DataError naming `where`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"{where}: {key!r} is missing or not a JSON {_JSON_TYPES[kind]}")
     return value
 
 
@@ -262,20 +274,30 @@ def cmd_preprocess(args, out, section):
 
 
 def _load_cleaned_records(preprocessed_dir, record_ids=None):
-    """Cleaned records in index order; only those in `record_ids` if given."""
+    """Cleaned records in index order; only those in `record_ids` if given.
+    An index entry that is not an object, lacks a field, or holds one of
+    the wrong type or a fold outside 1-10, is a DataError."""
     from .wfdb_io import DiagnosticLabels
     pre = Path(preprocessed_dir)
     require_manifest(pre, "load-cleaned")
-    index = _read_json(pre / "records_index.json", list)
+    index_path = pre / "records_index.json"
     records = []
-    for entry in index:
-        if record_ids is not None and entry["record_id"] not in record_ids:
+    for i, entry in enumerate(_read_json(index_path, list)):
+        where = f"{index_path} entry {i}"
+        if record_ids is not None and _field(entry, "record_id", str, where) not in record_ids:
             continue
-        rec = load_record(pre / entry["path"])
-        rec.patient_id = entry["patient_id"]
-        rec.fold = entry["fold"]
-        rec.labels = DiagnosticLabels(likelihoods=entry["likelihoods"],
-                                      superclass=entry["superclass"])
+        fold = _field(entry, "fold", int, where)
+        if not 1 <= fold <= 10:
+            raise DataError(f"{where}: fold must be in 1..10, got {fold}")
+        try:
+            labels = DiagnosticLabels(likelihoods=_field(entry, "likelihoods", dict, where),
+                                      superclass=_field(entry, "superclass", dict, where))
+        except (TypeError, ValueError) as exc:   # a likelihood that is no number in [0, 100]
+            raise DataError(f"{where}: {exc}")
+        rec = load_record(pre / _field(entry, "path", str, where))
+        rec.patient_id = _field(entry, "patient_id", str, where)
+        rec.fold = fold
+        rec.labels = labels
         records.append(rec)
     return records
 
@@ -389,8 +411,10 @@ def _load_decoders(decoder_dir):
             continue
         model, extra = load_checkpoint(ckpt)
         decoders[lead] = model
+        if extra is not None and not isinstance(extra, dict):
+            raise DataError(f"{ckpt}: checkpoint 'extra' is not a JSON object")
         if extra and "norm_stats" in extra:
-            stats = NormStats.from_dict(extra["norm_stats"])
+            stats = _norm_stats(extra["norm_stats"], f"{ckpt} extra 'norm_stats'")
     missing = [l for l in TARGET_LEADS if l not in decoders]
     if missing:
         raise DependencyError(f"missing decoder checkpoints for {missing} "
@@ -399,14 +423,26 @@ def _load_decoders(decoder_dir):
         stats_path = path / "norm_stats.json"
         if not stats_path.exists():
             raise DependencyError(f"missing norm_stats under {decoder_dir}")
-        stats = NormStats.from_dict(_read_json(stats_path, dict))
+        stats = _norm_stats(_read_json(stats_path, dict), stats_path)
     return decoders, stats, bool(manifest.get("config", {}).get("conditioned", True))
 
 
+def _norm_stats(d, where):
+    """NormStats from upstream JSON `d`, an object with a list per statistic."""
+    if not isinstance(d, dict):
+        raise DataError(f"{where} is not a JSON object")
+    for name in ("h_mu", "h_sigma", "y_mu", "y_sigma"):
+        _field(d, name, list, where)
+    return NormStats.from_dict(d)
+
+
 def _test_records(split_dir):
-    splits = _read_json(Path(split_dir) / "splits.json", dict)
-    return _load_cleaned_records(splits["preprocessed_dir"],
-                                 set(splits["records"]["test"]))
+    where = Path(split_dir) / "splits.json"
+    splits = _read_json(where, dict)
+    test = _field(_field(splits, "records", dict, where), "test", list, f"{where} records")
+    if not all(isinstance(rid, str) for rid in test):
+        raise DataError(f"{where}: test record ids are not all strings")
+    return _load_cleaned_records(_field(splits, "preprocessed_dir", str, where), set(test))
 
 
 def cmd_reconstruct(args, out, section):

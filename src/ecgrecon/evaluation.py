@@ -121,11 +121,31 @@ def diagonal_consistency(affinity):
     return float(np.mean(np.diag(affinity.a)))
 
 
-def _metric_or_none(fn, y_hat, y):
-    try:
-        return fn(y_hat, y)
-    except MetricUndefinedError:
-        return None
+def _row_metrics(y_hat, y):
+    """(rmse, r2, pearson) of every row along the last axis of `y_hat` and
+    `y` [..., n], each an array [...] holding what `rmse`, `r2` and
+    `pearson` return for that row, bit for bit. r2 is None where the
+    target row is constant, pearson where either row is."""
+    y_hat, y = np.asarray(y_hat, float), np.asarray(y, float)
+    if y_hat.shape != y.shape or y.shape[-1] < 2:
+        raise DataError(f"metrics need equal shapes with rows >= 2, got "
+                        f"{y_hat.shape}/{y.shape}")
+    d = y_hat - y
+    a = y_hat - y_hat.mean(axis=-1, keepdims=True)
+    b = y - y.mean(axis=-1, keepdims=True)
+    ss_res, ss_tot = np.sum(d * d, axis=-1), np.sum(b * b, axis=-1)
+    denom = np.sqrt(np.sum(a * a, axis=-1) * ss_tot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2s = 1.0 - ss_res / ss_tot
+        pears = np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0)
+    return (np.sqrt(ss_res / y.shape[-1]), np.where(ss_tot == 0.0, None, r2s),
+            np.where(denom == 0.0, None, pears))
+
+
+def _by_lead(rows):
+    """Per-record metric arrays [n, 5] (or [5]) -> one contiguous row per
+    target lead [5, N], in record order."""
+    return np.ascontiguousarray(np.concatenate([np.atleast_2d(r) for r in rows]).T)
 
 
 def _mean_or_none(values):
@@ -153,58 +173,44 @@ class EvaluationReport:
 def evaluate_model(records, encoder, decoders, stats, conditioned=True):
     """Segment-level metrics over non-overlapping test segments plus
     record-level metrics over the full signals reassembled from the same
-    window predictions."""
-    seg_rmse = {lead: [] for lead in TARGET_LEADS}
-    seg_r2 = {lead: [] for lead in TARGET_LEADS}
-    seg_pear = {lead: [] for lead in TARGET_LEADS}
-    by_class = {}
-    rec_rmse = {lead: [] for lead in TARGET_LEADS}
-    rec_r2 = {lead: [] for lead in TARGET_LEADS}
-    rec_pear = {lead: [] for lead in TARGET_LEADS}
-
+    window predictions. Each record's windows [n, 5, T], and then its
+    reassembled signal [5, n_samples], are scored in one `_row_metrics`
+    pass over every target lead."""
+    seg, rec_level, by_class = [], [], {}
     for rec in records:
         segments = segment_record_nonoverlap(rec)
         if not len(segments):
             continue
         preds = reconstruct_segments(segments, encoder, decoders, stats,
                                      conditioned=conditioned)
+        scores = _row_metrics(preds, segments.y)
+        seg.append(scores)
         hc = sorted(rec.labels.high_confidence())
-        cls = hc[0] if len(hc) == 1 else None
-        for pred, y in zip(preds, segments.y):
-            for li, lead in enumerate(TARGET_LEADS):
-                e = rmse(pred[li], y[li])
-                seg_rmse[lead].append(e)
-                seg_r2[lead].append(_metric_or_none(r2, pred[li], y[li]))
-                seg_pear[lead].append(_metric_or_none(pearson, pred[li], y[li]))
-                if cls is not None:
-                    by_class.setdefault(cls, {l: [] for l in TARGET_LEADS})
-                    by_class[cls][lead].append(e)
+        if len(hc) == 1:
+            by_class.setdefault(hc[0], []).append(scores[0])
         full = overlap_add(preds, segments.start, rec.n_samples)
         truth = np.stack([rec.lead(l) for l in TARGET_LEADS])
-        for li, lead in enumerate(TARGET_LEADS):
-            rec_rmse[lead].append(rmse(full[li], truth[li]))
-            rec_r2[lead].append(_metric_or_none(r2, full[li], truth[li]))
-            rec_pear[lead].append(_metric_or_none(pearson, full[li], truth[li]))
+        rec_level.append(_row_metrics(full, truth))
 
     report = EvaluationReport()
-    for lead in TARGET_LEADS:
-        n_seg = len(seg_rmse[lead])
-        if n_seg:
+    if seg:
+        seg_rmse, seg_r2, seg_pear = (_by_lead(m) for m in zip(*seg))
+        rec_rmse, rec_r2, rec_pear = (_by_lead(m) for m in zip(*rec_level))
+        n_seg, n_rec = seg_rmse.shape[1], rec_rmse.shape[1]
+        for li, lead in enumerate(TARGET_LEADS):
             report.segment_metrics[lead] = LeadMetrics(
-                lead=lead, rmse=float(np.mean(seg_rmse[lead])),
-                r2=_mean_or_none(seg_r2[lead]), pearson=_mean_or_none(seg_pear[lead]),
+                lead=lead, rmse=float(np.mean(seg_rmse[li])),
+                r2=_mean_or_none(seg_r2[li]), pearson=_mean_or_none(seg_pear[li]),
                 n=n_seg, level="segment")
-        n_rec = len(rec_rmse[lead])
-        if n_rec:
-            vals = np.asarray(rec_rmse[lead])
+            vals = rec_rmse[li]
             sem = float(vals.std(ddof=1) / np.sqrt(n_rec)) if n_rec > 1 else None
             report.record_metrics[lead] = LeadMetrics(
                 lead=lead, rmse=float(vals.mean()),
-                r2=_mean_or_none(rec_r2[lead]), pearson=_mean_or_none(rec_pear[lead]),
+                r2=_mean_or_none(rec_r2[li]), pearson=_mean_or_none(rec_pear[li]),
                 n=n_rec, level="record", rmse_sem=sem)
     report.per_class_rmse = {
-        cls: {lead: float(np.mean(v)) for lead, v in leads.items() if v}
-        for cls, leads in sorted(by_class.items())}
+        cls: {lead: float(np.mean(v)) for lead, v in zip(TARGET_LEADS, _by_lead(rows))}
+        for cls, rows in sorted(by_class.items())}
     if report.segment_metrics:
         report.mean_segment_rmse = float(np.mean(
             [m.rmse for m in report.segment_metrics.values()]))

@@ -263,7 +263,12 @@ def save_checkpoint(path, model, extra=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from its descriptor and blob; returns (model, extra)."""
+    """Rebuild a model from its descriptor and blob; returns (model, extra).
+
+    The model comes back frozen: no parameter requires grad, so its forward
+    records no backward graph. Every caller runs inference; training builds
+    its models fresh.
+    """
     path = Path(path)
     desc_path = path.with_suffix(path.suffix + ".json")
     blob_path = path.with_suffix(path.suffix + ".f32")
@@ -286,4 +291,6 @@ def load_checkpoint(path):
     if len(raw) % 4:
         raise DataError(f"{blob_path}: {len(raw)} bytes, not whole float32 values")
     set_parameter_vector(model, np.frombuffer(raw, dtype="<f4").copy())
+    for p in model.parameters():
+        p.tensor.requires_grad = False
     return model, desc.get("extra")

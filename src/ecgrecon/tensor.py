@@ -310,7 +310,11 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     """1-D convolution: x [B, Cin, T], w [Cout, Cin, K], b [Cout].
 
     One im2col matmul for every kernel size, stride and padding: the
-    weight as [Cout, Cin*K] times the strided windows as [B, Cin*K, t_out].
+    weight as [Cout, Cin*K] times the windows as [B, Cin*K, t_out]. The
+    windows are one read-only strided view [B, Cin, K, t_out] of the input
+    (zero-padded into a fresh buffer only when `padding > 0`), laid out in
+    the order the matmul reads them; the backward keeps that view, never a
+    copy of it.
     """
     if x.data.ndim != 3 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv1d", x.shape, w.shape)
@@ -319,17 +323,21 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     t_out = (T + 2 * padding - K) // stride + 1
     if t_out < 1:
         raise ShapeError("conv1d", x.shape, w.shape)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    # [B, Cin, t_out, K]; kept for backward as a view of xp, never a copy
-    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
-    cols = win.transpose(0, 1, 3, 2).reshape(B, Cin * K, t_out)
-    data = np.matmul(w.data.reshape(Cout, Cin * K), cols)
+    if padding:
+        xp = np.zeros((B, Cin, T + 2 * padding), dtype=x.data.dtype)
+        xp[:, :, padding:padding + T] = x.data
+    else:
+        xp = x.data
+    sb, sc, st = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (B, Cin, K, t_out),
+                                          (sb, sc, st, st * stride), writeable=False)
+    data = np.matmul(w.data.reshape(Cout, Cin * K), win.reshape(B, Cin * K, t_out))
     if b is not None:
         data += b.data[None, :, None]
 
     def backward(g):
         if w.requires_grad:
-            w._accumulate(np.tensordot(g, win, axes=([0, 2], [0, 2])))
+            w._accumulate(np.tensordot(g, win, axes=([0, 2], [0, 3])))
         if b is not None and b.requires_grad:
             b._accumulate(_sum64(g, axis=(0, 2)))
         if x.requires_grad:

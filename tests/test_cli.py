@@ -372,6 +372,60 @@ def test_json_input_of_wrong_type_exit(pipeline, tmp_path, capsys, stage, damage
     assert not out.exists()
 
 
+def _edit_json(path, edit):
+    value = json.loads(path.read_text())
+    edit(value)
+    path.write_text(json.dumps(value))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda index: index.__setitem__(0, 5), id="entry-not-object"),
+    pytest.param(lambda index: index[0].pop("patient_id"), id="missing-key"),
+    pytest.param(lambda index: index[0].update(fold="x"), id="fold-text"),
+])
+def test_bad_records_index_entry_exit_4(pipeline, tmp_path, capsys, edit):
+    pre = tmp_path / "pre"
+    shutil.copytree(pipeline["pre"], pre)
+    _edit_json(pre / "records_index.json", edit)
+    out = tmp_path / "o"
+    assert main(["split", "--out", str(out), "--data", str(pre)]) == 4
+    assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda splits: splits["records"].update(test=5), id="test-not-list"),
+    pytest.param(lambda splits: splits.update(records=[]), id="records-not-object"),
+])
+def test_bad_splits_records_exit_4(pipeline, tmp_path, capsys, edit):
+    d = pipeline
+    split = tmp_path / "split"
+    shutil.copytree(d["split"], split)
+    _edit_json(split / "splits.json", edit)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--out", str(out), "--data", str(split), "--encoder",
+                 str(d["pretrain"]), "--decoders", str(d["dec"])]) == 4
+    assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda desc: desc.update(extra=5), id="extra-not-object"),
+    pytest.param(lambda desc: desc["extra"].update(norm_stats=5), id="stats-not-object"),
+    pytest.param(lambda desc: desc["extra"]["norm_stats"].pop("y_mu"), id="stats-missing-key"),
+])
+def test_bad_checkpoint_extra_exit_4(pipeline, tmp_path, capsys, edit):
+    d = pipeline
+    dec = tmp_path / "dec"
+    shutil.copytree(d["dec"], dec)
+    _edit_json(dec / "decoder_V4.ckpt.json", edit)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--out", str(out), "--data", str(d["split"]), "--encoder",
+                 str(d["pretrain"]), "--decoders", str(dec)]) == 4
+    assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
+
+
 def test_unreadable_class_specs_exit_2(tmp_path, capsys):
     specs = tmp_path / "specs.json"
     specs.write_text('[{"class_name": "A",')

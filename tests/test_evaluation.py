@@ -275,3 +275,116 @@ def test_evaluate_model_decodes_each_window_once():
     assert rep.segment_metrics["V1"].n == 12
     assert rep.record_metrics["V1"].n == 3
     assert [d.windows for d in decoders.values()] == [12] * 5
+
+
+def _metric_or_none(fn, y_hat, y):
+    try:
+        return fn(y_hat, y)
+    except MetricUndefinedError:
+        return None
+
+
+def test_row_metrics_equal_scalar_metrics():
+    from ecgrecon.evaluation import _row_metrics
+    rng = np.random.default_rng(6)
+    y_hat = rng.normal(size=(4, 5, 300))
+    y = rng.normal(size=(4, 5, 300)).astype(np.float32)
+    y[1, 2] = 0.5          # constant target: r2 and pearson undefined
+    y_hat[2, 3] = -1.25    # constant prediction: pearson undefined
+    got = _row_metrics(y_hat, y)
+    for i, j in np.ndindex(4, 5):
+        want = [_metric_or_none(f, y_hat[i, j], y[i, j]) for f in (rmse, r2, pearson)]
+        assert [m[i, j] for m in got] == want
+    assert got[1][1, 2] is None and got[2][1, 2] is None and got[2][2, 3] is None
+
+
+def _scalar_report(records, encoder, decoders, stats):
+    """`evaluate_model`'s report built one window, one lead and one scalar
+    metric call at a time; also returns how many window scores were None."""
+    from ecgrecon.dataset import TARGET_LEADS, segment_record_nonoverlap
+    from ecgrecon.evaluation import EvaluationReport, LeadMetrics
+    from ecgrecon.reconstruction import overlap_add, reconstruct_segments
+
+    def mean_or_none(values):
+        vals = [v for v in values if v is not None]
+        return float(np.mean(vals)) if vals else None
+
+    seg = {lead: ([], [], []) for lead in TARGET_LEADS}
+    rec_level = {lead: ([], [], []) for lead in TARGET_LEADS}
+    by_class, undefined = {}, {"r2": 0, "pearson": 0}
+    for rec in records:
+        segments = segment_record_nonoverlap(rec)
+        preds = reconstruct_segments(segments, encoder, decoders, stats)
+        hc = sorted(rec.labels.high_confidence())
+        for pred, y in zip(preds, segments.y):
+            for li, lead in enumerate(TARGET_LEADS):
+                scores = [_metric_or_none(f, pred[li], y[li]) for f in (rmse, r2, pearson)]
+                undefined["r2"] += scores[1] is None
+                undefined["pearson"] += scores[2] is None
+                for values, v in zip(seg[lead], scores):
+                    values.append(v)
+                if len(hc) == 1:
+                    by_class.setdefault(hc[0], {l: [] for l in TARGET_LEADS})
+                    by_class[hc[0]][lead].append(scores[0])
+        full = overlap_add(preds, segments.start, rec.n_samples)
+        for li, lead in enumerate(TARGET_LEADS):
+            for values, f in zip(rec_level[lead], (rmse, r2, pearson)):
+                values.append(_metric_or_none(f, full[li], rec.lead(lead)))
+    report = EvaluationReport()
+    for lead in TARGET_LEADS:
+        (e, r, p), (re, rr, rp) = seg[lead], rec_level[lead]
+        report.segment_metrics[lead] = LeadMetrics(
+            lead=lead, rmse=float(np.mean(e)), r2=mean_or_none(r),
+            pearson=mean_or_none(p), n=len(e), level="segment")
+        vals = np.asarray(re)
+        report.record_metrics[lead] = LeadMetrics(
+            lead=lead, rmse=float(vals.mean()), r2=mean_or_none(rr),
+            pearson=mean_or_none(rp), n=len(re), level="record",
+            rmse_sem=float(vals.std(ddof=1) / np.sqrt(len(re))))
+    report.per_class_rmse = {cls: {lead: float(np.mean(v)) for lead, v in leads.items()}
+                             for cls, leads in sorted(by_class.items())}
+    report.mean_segment_rmse = float(np.mean(
+        [m.rmse for m in report.segment_metrics.values()]))
+    return report, undefined
+
+
+def test_evaluate_model_equals_per_window_scalar_report():
+    from ecgrecon.dataset import ALL_LEADS, TARGET_LEADS
+    from ecgrecon.evaluation import evaluate_model
+    from ecgrecon.nn import Encoder
+    from ecgrecon.reconstruction import EPS, NormStats
+    from ecgrecon.tensor import Tensor
+    from ecgrecon.wfdb_io import DiagnosticLabels, SignalRecord
+
+    class InputLeadDecoder:
+        """Predicts a scaled input lead; flat for the first window of a batch."""
+
+        def __init__(self, li):
+            self.li = li
+
+        def __call__(self, xb, hb):
+            y = xb.data[:, self.li % 3] * (0.5 + 0.1 * self.li) + hb.data[:, :1] * 0.01
+            y[0] = 0.0
+            return Tensor(y)
+
+    rng = np.random.default_rng(8)
+    records = []
+    for i, labels in enumerate([{"NORM": 100.0}, {"NORM": 100.0}, {"TALLR": 90.0},
+                                {"NORM": 100.0, "TALLR": 85.0}]):
+        samples = rng.normal(0, 0.3, size=(len(ALL_LEADS), 1000 + 37 * i))
+        records.append(SignalRecord(samples=samples, fs=100.0, lead_names=list(ALL_LEADS),
+                                    record_id=f"r{i}", patient_id=f"p{i}",
+                                    labels=DiagnosticLabels(labels), fold=10))
+    # record 0's second window of V1 is flat
+    records[0].samples[ALL_LEADS.index("V1"), 256:512] = 0.1
+    stats = NormStats(h_mu=np.zeros(128), h_sigma=np.ones(128) - EPS,
+                      y_mu=np.zeros(5), y_sigma=np.full(5, 1.5))
+    decoders = {lead: InputLeadDecoder(li) for li, lead in enumerate(TARGET_LEADS)}
+    encoder = Encoder(seed=0)
+    got = evaluate_model(records, encoder, decoders, stats)
+    want, undefined = _scalar_report(records, encoder, decoders, stats)
+    # one flat target window (r2 and pearson undefined), and one flat
+    # prediction per record and lead (pearson undefined)
+    assert undefined == {"r2": 1, "pearson": 1 + 4 * len(TARGET_LEADS)}
+    assert got.to_dict() == want.to_dict()
+    assert set(got.per_class_rmse) == {"NORM", "TALLR"}

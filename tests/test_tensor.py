@@ -3,6 +3,7 @@ import pytest
 
 from ecgrecon import tensor as T
 from ecgrecon.errors import ShapeError
+from ecgrecon.nn import Encoder, LeadDecoder, load_checkpoint, save_checkpoint
 from ecgrecon.tensor import Tensor
 
 from _utils import finite_diff_check
@@ -108,7 +109,69 @@ def test_conv1d_forward_matches_direct_sum(k, stride, padding):
     np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
 
 
-def test_graph_without_grad_records_no_closures():
+def _conv1d_pad_window_reference(x, w, b, stride, padding, g):
+    """conv1d as an np.pad + sliding_window_view im2col: the output, and
+    the x, w and b gradients of sum(output * g)."""
+    B, Cin, T = x.shape
+    Cout, _, K = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
+    t_out = win.shape[2]
+    cols = win.transpose(0, 1, 3, 2).reshape(B, Cin * K, t_out)
+    out = np.matmul(w.reshape(Cout, Cin * K), cols)
+    out += b[None, :, None]
+    gw = np.tensordot(g, win, axes=([0, 2], [0, 2]))
+    gb = np.sum(g, axis=(0, 2), dtype=np.float64).astype(g.dtype)
+    gxp = np.zeros_like(xp)
+    w_taps = w.T.copy()
+    for k in range(K):
+        gxp[:, :, k:k + stride * t_out:stride] += np.matmul(w_taps[k], g)
+    return out, gxp[:, :, padding:padding + T], gw, gb
+
+
+# (batch, in channels, length, out channels, kernel, stride, padding, input
+# is a view): the encoder's four convs, the decoder's two, at batch 1 too,
+# and padding 0, which reads the input in place, on a non-contiguous view
+NN_CONVS = {"enc0": (4, 3, 256, 32, 7, 2, 3, False), "enc2": (4, 32, 128, 64, 5, 2, 2, False),
+            "enc4": (4, 64, 64, 128, 3, 2, 1, False), "enc6": (4, 128, 32, 128, 3, 1, 1, False),
+            "temp1": (4, 32, 256, 16, 5, 1, 2, False), "temp2": (4, 16, 256, 1, 5, 1, 2, False),
+            "enc0-b1": (1, 3, 256, 32, 7, 2, 3, False),
+            "temp1-b1": (1, 32, 256, 16, 5, 1, 2, False),
+            "pad0-view": (3, 5, 40, 6, 3, 2, 0, True),
+            "pointwise-view": (3, 5, 40, 6, 1, 1, 0, True)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("conv", list(NN_CONVS))
+def test_conv1d_bit_identical_to_pad_window_im2col(conv, dtype):
+    B, cin, t, cout, k, stride, padding, view = NN_CONVS[conv]
+    rng = np.random.default_rng(k * 100 + cin)
+    if view:    # a sliced transpose: no axis is contiguous
+        x = rng.normal(size=(B, t + 3, cin + 2)).astype(dtype).transpose(0, 2, 1)[:, 1:-1, 2:-1]
+    else:
+        x = rng.normal(size=(B, cin, t)).astype(dtype)
+    w = rng.normal(size=(cout, cin, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    xt, wt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b))
+    out = T.conv1d(xt, wt, bt, stride=stride, padding=padding)
+    g = rng.normal(size=out.shape).astype(dtype)
+    T.tensor_sum(T.mul(out, Tensor(g, dtype=dtype))).backward()
+    want = _conv1d_pad_window_reference(x, w, b, stride, padding, g)
+    for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+        assert got.dtype == dtype and got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+
+
+def _graph_nodes(out):
+    nodes, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def test_graph_without_grad_records_no_closures(tmp_path):
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 3, 8)))
     w = Tensor(rng.normal(size=(4, 3, 3)))
@@ -121,13 +184,19 @@ def test_graph_without_grad_records_no_closures():
                              Tensor(np.zeros(8)))
     loss = T.l2_normalize(T.matmul(T.global_avg_pool(out), Tensor(np.ones((8, 2)))))
     loss = T.tensor_sum(T.exp(loss) * 2.0 - T.log(T.absolute(loss) + 1.0))
-    nodes, stack = [], [loss]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node._parents)
-    assert nodes == [loss]
+    assert _graph_nodes(loss) == [loss]
     assert not loss.requires_grad and loss._backward is None
+    # a loaded checkpoint is frozen: its forward records no graph either,
+    # and computes what the saved model computes
+    x = Tensor(rng.normal(size=(2, 3, 256)))
+    h = Tensor(rng.normal(size=(2, 128)))
+    for model, inputs in ((Encoder(seed=1), (x,)), (LeadDecoder(seed=2), (x, h))):
+        save_checkpoint(tmp_path / "model.ckpt", model)
+        loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
+        assert not any(p.tensor.requires_grad for p in loaded.parameters())
+        out = loaded(*inputs)
+        assert _graph_nodes(out) == [out] and out._backward is None
+        np.testing.assert_array_equal(out.data, model(*inputs).data)
 
 
 @pytest.mark.parametrize("seed", range(5))
