@@ -414,7 +414,7 @@ def _load_decoders(decoder_dir):
         if extra is not None and not isinstance(extra, dict):
             raise DataError(f"{ckpt}: checkpoint 'extra' is not a JSON object")
         if extra and "norm_stats" in extra:
-            stats = _norm_stats(extra["norm_stats"], f"{ckpt} extra 'norm_stats'")
+            stats = NormStats.from_dict(extra["norm_stats"], f"{ckpt} extra 'norm_stats'")
     missing = [l for l in TARGET_LEADS if l not in decoders]
     if missing:
         raise DependencyError(f"missing decoder checkpoints for {missing} "
@@ -423,17 +423,8 @@ def _load_decoders(decoder_dir):
         stats_path = path / "norm_stats.json"
         if not stats_path.exists():
             raise DependencyError(f"missing norm_stats under {decoder_dir}")
-        stats = _norm_stats(_read_json(stats_path, dict), stats_path)
+        stats = NormStats.from_dict(_read_json(stats_path, dict), stats_path)
     return decoders, stats, bool(manifest.get("config", {}).get("conditioned", True))
-
-
-def _norm_stats(d, where):
-    """NormStats from upstream JSON `d`, an object with a list per statistic."""
-    if not isinstance(d, dict):
-        raise DataError(f"{where} is not a JSON object")
-    for name in ("h_mu", "h_sigma", "y_mu", "y_sigma"):
-        _field(d, name, list, where)
-    return NormStats.from_dict(d)
 
 
 def _test_records(split_dir):

@@ -4,11 +4,10 @@ resampling, and R-peak detection.
 Every function works along the last axis of an `[..., n]` array. All IIR
 stages are applied forward-backward (zero phase) and preserve length.
 
-The band-pass, notch and anti-alias low-pass designs are memoized per
-sampling rate and filter settings: they depend on nothing else, and a
-corpus has few sampling rates, so `preprocess` designs each once per rate
-instead of once per record. Callers get a copy of the cached
-coefficients. Baseline medians run one lead row at a time, because on a
+The band-pass design is memoized per (fs, order, band): it depends on
+nothing else, and a corpus has few sampling rates, so `preprocess` designs
+it once per rate instead of once per record. Callers get a copy of the
+cached sections. Baseline medians run one lead row at a time, because on a
 1-D array scipy uses its running-median kernel, about 8x faster than the
 n-D rank filter on a `[12, 1000]` record; the outputs are bit-identical,
 as a median over an odd window is one of its input samples.
@@ -57,14 +56,8 @@ def notch_filter(x, fs, spec=None):
     spec = spec or FilterSpec()
     if spec.notch_freq >= fs / 2.0:
         raise FilterSpecError(f"notch {spec.notch_freq} Hz >= Nyquist for fs={fs}")
-    b, a = _notch_ba(float(spec.notch_freq), float(spec.notch_q), float(fs))
-    return signal.filtfilt(b.copy(), a.copy(), np.asarray(x, dtype=np.float64))
-
-
-@lru_cache(maxsize=None)
-def _notch_ba(freq, q, fs):
-    """(b, a) of the notch; shared, never handed out: callers copy it."""
-    return signal.iirnotch(freq, q, fs=fs)
+    b, a = signal.iirnotch(spec.notch_freq, spec.notch_q, fs=fs)
+    return signal.filtfilt(b, a, np.asarray(x, dtype=np.float64))
 
 
 def _sos_stable(sos):
@@ -137,15 +130,10 @@ def resample_to_100hz(x, fs_in):
     if factor < 1 or abs(factor - round(factor)) > 1e-9:
         raise UnsupportedRateError(f"fs_in={fs_in} is not an integer multiple of 100 Hz")
     factor = int(round(factor))
-    y = signal.sosfiltfilt(_antialias_sos(float(fs_in)).copy(), x)
+    sos = signal.butter(8, 45.0, btype="low", output="sos", fs=fs_in)
+    y = signal.sosfiltfilt(sos, x)
     n_out = int(np.floor(x.shape[-1] * TARGET_FS / fs_in))
     return y[..., ::factor][..., :n_out]
-
-
-@lru_cache(maxsize=None)
-def _antialias_sos(fs):
-    """The order-8 45 Hz low-pass at `fs`; shared, never handed out."""
-    return signal.butter(8, 45.0, btype="low", output="sos", fs=fs)
 
 
 def clean_signal(samples, fs, spec=None):

@@ -202,9 +202,20 @@ class NormStats:
         return cls(h_mu=h_mu, h_sigma=h_sigma, y_mu=y_mu, y_sigma=y_sigma)
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(**{k: np.asarray(d[k]) for k in
-                      ("h_mu", "h_sigma", "y_mu", "y_sigma")})
+    def from_dict(cls, d, where="norm_stats"):
+        """Statistics from upstream JSON `d`, an object holding a list of
+        numbers per statistic; anything else is a DataError naming `where`."""
+        if not isinstance(d, dict):
+            raise DataError(f"{where} is not a JSON object")
+        stats = {}
+        for k in ("h_mu", "h_sigma", "y_mu", "y_sigma"):
+            try:
+                stats[k] = np.asarray(d[k], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{where}: {k!r} is missing or not numbers: {exc!r}")
+            if stats[k].ndim != 1:
+                raise DataError(f"{where}: {k!r} is not a list of numbers")
+        return cls(**stats)
 
 
 def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True):

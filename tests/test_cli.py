@@ -413,6 +413,8 @@ def test_bad_splits_records_exit_4(pipeline, tmp_path, capsys, edit):
     pytest.param(lambda desc: desc.update(extra=5), id="extra-not-object"),
     pytest.param(lambda desc: desc["extra"].update(norm_stats=5), id="stats-not-object"),
     pytest.param(lambda desc: desc["extra"]["norm_stats"].pop("y_mu"), id="stats-missing-key"),
+    pytest.param(lambda desc: desc["extra"]["norm_stats"].update(
+        h_mu=["x"] * len(desc["extra"]["norm_stats"]["h_mu"])), id="stats-strings"),
 ])
 def test_bad_checkpoint_extra_exit_4(pipeline, tmp_path, capsys, edit):
     d = pipeline
