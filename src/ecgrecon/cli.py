@@ -29,12 +29,13 @@ from .dataset import (TARGET_LEADS, Segments, apply_qc, fit_qc_bounds,
                       load_segments, load_vectors, save_segments, save_vectors,
                       segment_record, segment_record_nonoverlap, segment_stats,
                       split_by_fold)
-from .errors import ConfigError, DataError, DependencyError, PipelineError
+from .errors import (JSON_TYPES, ConfigError, DataError, DependencyError,
+                     PipelineError, json_field)
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
                          evaluate_model, knn_affinity)
 from .nn import load_checkpoint
 from .reconstruction import (NormStats, TrainConfig, normalize_x,
-                             reconstruct_record, save_decoders, train_decoder)
+                             reconstruct_record, save_decoders, train_decoders)
 from .synth import builtin_class_specs, generate_corpus, load_class_specs
 from .wfdb_io import (SignalRecord, load_record, parse_ptbxl_metadata,
                       write_record)
@@ -116,9 +117,6 @@ def stage_setting(section, key, default, kind, least):
     return number
 
 
-_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
-
-
 def _read_json(path, kind):
     """A JSON file that an upstream stage wrote, whose top level is a `kind`
     (dict or list); unreadable, or of another type, is a DataError."""
@@ -127,17 +125,7 @@ def _read_json(path, kind):
     except (OSError, ValueError) as exc:   # missing, not UTF-8, or not JSON
         raise DataError(f"unreadable {path}: {exc}")
     if not isinstance(value, kind):
-        raise DataError(f"{path}: top level is not a JSON {_JSON_TYPES[kind]}")
-    return value
-
-
-def _field(obj, key, kind, where):
-    """`obj[key]` of upstream JSON, which must be a `kind` (a JSON type in
-    `_JSON_TYPES`); `obj` that is not an object, a missing key or a value
-    of another type is a DataError naming `where`."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DataError(f"{where}: {key!r} is missing or not a JSON {_JSON_TYPES[kind]}")
+        raise DataError(f"{path}: top level is not a JSON {JSON_TYPES[kind]}")
     return value
 
 
@@ -193,6 +181,11 @@ def run_stage(args):
 
 
 # -- stages ----------------------------------------------------------------
+
+def _log(line):
+    """Progress lines go to stderr; stdout holds only the stage summary."""
+    print(line, file=sys.stderr)
+
 
 def cmd_synth(args, out, section):
     if args.class_specs:
@@ -284,18 +277,20 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
     records = []
     for i, entry in enumerate(_read_json(index_path, list)):
         where = f"{index_path} entry {i}"
-        if record_ids is not None and _field(entry, "record_id", str, where) not in record_ids:
+        if (record_ids is not None
+                and json_field(entry, "record_id", str, where) not in record_ids):
             continue
-        fold = _field(entry, "fold", int, where)
+        fold = json_field(entry, "fold", int, where)
         if not 1 <= fold <= 10:
             raise DataError(f"{where}: fold must be in 1..10, got {fold}")
         try:
-            labels = DiagnosticLabels(likelihoods=_field(entry, "likelihoods", dict, where),
-                                      superclass=_field(entry, "superclass", dict, where))
+            labels = DiagnosticLabels(
+                likelihoods=json_field(entry, "likelihoods", dict, where),
+                superclass=json_field(entry, "superclass", dict, where))
         except (TypeError, ValueError) as exc:   # a likelihood that is no number in [0, 100]
             raise DataError(f"{where}: {exc}")
-        rec = load_record(pre / _field(entry, "path", str, where))
-        rec.patient_id = _field(entry, "patient_id", str, where)
+        rec = load_record(pre / json_field(entry, "path", str, where))
+        rec.patient_id = json_field(entry, "patient_id", str, where)
         rec.fold = fold
         rec.labels = labels
         records.append(rec)
@@ -344,7 +339,7 @@ def cmd_pretrain(args, out, section):
         weight_decay=stage_setting(section, "weight_decay", 1e-4, float, None),
         seed=stage_setting(section, "seed", 0, int, 0))
     segments, _ = load_segments(Path(args.data) / "segments_train")
-    encoder, head, history = pretrain(segments, pc, log=print)
+    encoder, head, history = pretrain(segments, pc, log=_log)
     save_pretrained(out, encoder, head, history)
     (out / "training_log.json").write_text(json.dumps({"loss": history}))
     return (["encoder.ckpt.json"], {"final_loss": history[-1] if history else None},
@@ -377,23 +372,17 @@ def cmd_train(args, out, section):
         patience=stage_setting(section, "patience", 10, int, None),
         seed=stage_setting(section, "seed", 0, int, 0),
         conditioned=not args.clean_only)
-    leads = (args.leads.split(",") if args.leads else list(TARGET_LEADS))
-    bad = [l for l in leads if l not in TARGET_LEADS]
-    if bad:
-        raise ConfigError(f"unknown target leads: {bad}")
     train_segs, _ = load_segments(Path(args.data) / "segments_train")
     val_segs, _ = load_segments(Path(args.data) / "segments_val")
     h_train, _ = load_vectors(Path(args.embeddings) / "embeddings_train")
     h_val, _ = load_vectors(Path(args.embeddings) / "embeddings_val")
     stats = NormStats.fit(train_segs, h_train)
-    results = {}
-    for lead in leads:
-        results[lead] = train_decoder(lead, train_segs, val_segs, h_train, h_val,
-                                      stats, tc, log=print)
+    results = train_decoders(train_segs, val_segs, h_train, h_val, stats, tc,
+                             log=_log)
     save_decoders(out, results, stats)
     (out / "norm_stats.json").write_text(json.dumps(stats.to_dict()))
     section["conditioned"] = tc.conditioned
-    return ([f"decoder_{l}.ckpt.json" for l in leads],
+    return ([f"decoder_{l}.ckpt.json" for l in TARGET_LEADS],
             {"best_val_loss": {l: r.best_val_loss for l, r in results.items()}},
             "train: " + ", ".join(f"{l} val={r.best_val_loss:.5f}"
                                   for l, r in results.items()))
@@ -424,16 +413,21 @@ def _load_decoders(decoder_dir):
         if not stats_path.exists():
             raise DependencyError(f"missing norm_stats under {decoder_dir}")
         stats = NormStats.from_dict(_read_json(stats_path, dict), stats_path)
-    return decoders, stats, bool(manifest.get("config", {}).get("conditioned", True))
+    config = manifest.get("config", {})
+    if not isinstance(config, dict):
+        raise DependencyError(f"{path / 'manifest.json'}: 'config' is not a JSON object")
+    return decoders, stats, bool(config.get("conditioned", True))
 
 
 def _test_records(split_dir):
     where = Path(split_dir) / "splits.json"
     splits = _read_json(where, dict)
-    test = _field(_field(splits, "records", dict, where), "test", list, f"{where} records")
+    test = json_field(json_field(splits, "records", dict, where), "test", list,
+                      f"{where} records")
     if not all(isinstance(rid, str) for rid in test):
         raise DataError(f"{where}: test record ids are not all strings")
-    return _load_cleaned_records(_field(splits, "preprocessed_dir", str, where), set(test))
+    return _load_cleaned_records(json_field(splits, "preprocessed_dir", str, where),
+                                 set(test))
 
 
 def cmd_reconstruct(args, out, section):
@@ -575,7 +569,6 @@ def build_parser():
     common(sp, "seed", "config")
     sp.add_argument("--data", required=True, help="split directory")
     sp.add_argument("--embeddings", required=True, help="embed directory")
-    sp.add_argument("--leads", default=None, help="comma-separated target leads")
     sp.add_argument("--clean-only", action="store_true",
                     help="train the unconditioned (C) ablation")
     sp.add_argument("--epochs", type=int, default=None)

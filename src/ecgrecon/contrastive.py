@@ -20,6 +20,9 @@ from .optim import AdamW
 from .tensor import Tensor
 
 TEMPERATURE = 0.07
+AMP_RANGE = (0.8, 1.2)    # augmented view: per-lead amplitude scale,
+NOISE_SIGMA = 0.02        # Gaussian noise std (mV),
+MAX_SHIFT = 10            # largest circular shift (samples)
 
 
 @dataclass
@@ -34,18 +37,14 @@ class PretrainConfig:
     epochs: int = 30
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    temperature: float = TEMPERATURE
     seed: int = 0
-    noise_sigma: float = 0.02
-    amp_range: tuple = (0.8, 1.2)
-    max_shift: int = 10
 
 
-def recenter_on_peak(x, r_peaks, center=None):
+def recenter_on_peak(x, r_peaks):
     """Shift the window so the R-peak nearest its midpoint lands at the
     center sample, reflection-padding the exposed edge."""
     t = x.shape[1]
-    center = t // 2 if center is None else center
+    center = t // 2
     if not len(r_peaks):
         return x.copy()
     peaks = np.asarray(r_peaks)
@@ -58,26 +57,24 @@ def recenter_on_peak(x, r_peaks, center=None):
     return padded[:, pad - shift:pad - shift + t].copy()
 
 
-def augment(x, rng, noise_sigma=0.02, amp_range=(0.8, 1.2), max_shift=10):
+def augment(x, rng):
     """Per-lead amplitude scale, Gaussian noise, circular time shift."""
-    scales = rng.uniform(*amp_range, size=(x.shape[0], 1)).astype(np.float32)
-    shift = int(rng.integers(-max_shift, max_shift + 1))
+    scales = rng.uniform(*AMP_RANGE, size=(x.shape[0], 1)).astype(np.float32)
+    shift = int(rng.integers(-MAX_SHIFT, MAX_SHIFT + 1))
     out = np.roll(x * scales, shift, axis=1)
-    out = out + rng.normal(0.0, noise_sigma, size=x.shape).astype(np.float32)
+    out = out + rng.normal(0.0, NOISE_SIGMA, size=x.shape).astype(np.float32)
     return out.astype(np.float32)
 
 
-def make_views(x, r_peaks, seed, config=None):
+def make_views(x, r_peaks, seed):
     """Build the (morphology-centered, signal-augmented) pair for one
     window x [3, T].
 
     r_peaks are sample indices relative to the window (lead II).
     """
-    config = config or PretrainConfig()
     rng = np.random.default_rng(seed)
     view_a = recenter_on_peak(x, r_peaks)
-    view_b = augment(x, rng, noise_sigma=config.noise_sigma,
-                     amp_range=config.amp_range, max_shift=config.max_shift)
+    view_b = augment(x, rng)
     return ViewPair(view_a=view_a.astype(np.float32), view_b=view_b)
 
 
@@ -146,13 +143,12 @@ def supcon_loss_naive(z, labels, temperature=TEMPERATURE):
     return total / n_active if n_active else 0.0
 
 
-def pretrain(segments, config=None, log=None):
+def pretrain(segments, config, log=None):
     """Contrastive pretraining; returns (encoder, projection_head, history).
 
     Only segments with at least one high-confidence label participate.
     Both views of each segment enter the batch as anchors.
     """
-    config = config or PretrainConfig()
     usable = np.flatnonzero([bool(l) for l in segments.labels])
     if not len(usable):
         raise DataError("no segments with high-confidence labels for pretraining")
@@ -180,11 +176,11 @@ def pretrain(segments, config=None, log=None):
             views, labels = [], []
             for i in idx:
                 pair = make_views(segments.x[i], peak_cache[i],
-                                  seed=int(rng.integers(0, 2 ** 32)), config=config)
+                                  seed=int(rng.integers(0, 2 ** 32)))
                 views.extend([pair.view_a, pair.view_b])
                 labels.extend([segments.labels[i]] * 2)
             z = head(encoder(Tensor(np.stack(views))))
-            loss = supcon_loss(z, labels, temperature=config.temperature)
+            loss = supcon_loss(z, labels)
             opt.zero_grad()
             loss.backward()
             opt.step()

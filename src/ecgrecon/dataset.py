@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, LeakageError
+from .errors import DataError, LeakageError, json_field
 from .wfdb_io import fold_to_split
 
 INPUT_LEADS = ("I", "II", "V2")
@@ -223,6 +223,8 @@ def _read_store(path_prefix, fmt, what, shape_of):
     if manifest.get("format") != fmt:
         raise DataError(f"unknown {what} store format: {manifest.get('format')}")
     shape = tuple(shape_of(manifest))
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"{man_path}: shape {list(shape)} is not a list of sizes")
     raw = blob_path.read_bytes()
     if len(raw) != 4 * int(np.prod(shape)):
         raise DataError(f"{blob_path}: {len(raw)} bytes, expected float32 {list(shape)}")
@@ -248,14 +250,16 @@ def save_segments(path_prefix, segments, qc_provenance=None):
 
 def load_segments(path_prefix):
     """Read a segment store; x and y are views of its one [N, 8, T] blob."""
+    where = f"{path_prefix}.manifest.json"
     manifest, data = _read_store(
         path_prefix, SEGSTORE_FORMAT, "segment",
-        lambda m: (m["n_segments"], len(ALL_LEADS), m["window"]))
-    meta = manifest["segments"]
+        lambda m: (json_field(m, "n_segments", int, where), len(ALL_LEADS),
+                   json_field(m, "window", int, where)))
+    meta = json_field(manifest, "segments", list, where)
     if len(meta) != len(data):
         raise DataError(f"{path_prefix}: {len(meta)} segment entries for "
                         f"n_segments={len(data)}")
-    n_in = len(manifest["input_leads"])
+    n_in = len(json_field(manifest, "input_leads", list, where))
     segments = Segments(x=data[:, :n_in], y=data[:, n_in:],
                         record_id=[m["record_id"] for m in meta],
                         start=[m["start"] for m in meta], fold=[m["fold"] for m in meta],
@@ -271,6 +275,7 @@ def save_vectors(path_prefix, matrix, meta=None):
 
 
 def load_vectors(path_prefix):
+    where = f"{path_prefix}.manifest.json"
     manifest, data = _read_store(path_prefix, VECSTORE_FORMAT, "vector",
-                                 lambda m: m["shape"])
+                                 lambda m: json_field(m, "shape", list, where))
     return data.copy(), manifest

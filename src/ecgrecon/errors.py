@@ -74,3 +74,16 @@ class ShapeError(ValueError):
 
 class MetricUndefinedError(DataError):
     """Metric undefined for the given inputs (e.g. constant target)."""
+
+
+JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
+def json_field(obj, key, kind, where):
+    """`obj[key]` of upstream JSON, which must be a `kind` (a JSON type in
+    `JSON_TYPES`); `obj` that is not an object, a missing key or a value
+    of another type is a DataError naming `where`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"{where}: {key!r} is missing or not a JSON {JSON_TYPES[kind]}")
+    return value

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError
+from .errors import DataError, json_field
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "ecgrecon-ckpt-v1"
@@ -47,10 +47,6 @@ class Module:
 
     def __call__(self, *args):
         return self.forward(*args)
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.tensor.zero_grad()
 
     def parameter_count(self):
         return int(sum(p.tensor.size for p in self.parameters()))
@@ -149,10 +145,6 @@ class Encoder(Module):
         return {"type": "encoder", "embed_dim": self.EMBED_DIM,
                 "trunk": self.trunk.describe()}
 
-    @classmethod
-    def from_config(cls, config, seed=0):
-        return cls(seed=seed)
-
 
 class ProjectionHead(Module):
     """Dense head producing a unit-norm 64-dim projection."""
@@ -174,10 +166,6 @@ class ProjectionHead(Module):
     def describe(self):
         return {"type": "projection_head", "proj_dim": self.PROJ_DIM}
 
-    @classmethod
-    def from_config(cls, config, seed=0):
-        return cls(seed=seed)
-
 
 class LeadDecoder(Module):
     """Per-lead decoder over the stacked 256-channel latent tensor.
@@ -190,15 +178,17 @@ class LeadDecoder(Module):
     its parameters.
     """
 
-    def __init__(self, lead="V1", seed=0, fusion_ch=32, temporal_ch=16):
+    FUSION_CH, TEMPORAL_CH = 32, 16
+
+    def __init__(self, lead="V1", seed=0):
         rng = np.random.default_rng(seed)
         self.lead = lead
-        self.fusion_ch, self.temporal_ch = fusion_ch, temporal_ch
         self.x_proj = Conv1d(3, 128, 1, rng=rng, name="x_proj")
         self.h_proj = Dense(128, 128, rng=rng, name="h_proj")
-        self.fusion = Conv1d(256, fusion_ch, 1, rng=rng, name="fusion")
-        self.temp1 = Conv1d(fusion_ch, temporal_ch, 5, padding=2, rng=rng, name="temp1")
-        self.temp2 = Conv1d(temporal_ch, 1, 5, padding=2, rng=rng, name="temp2")
+        self.fusion = Conv1d(256, self.FUSION_CH, 1, rng=rng, name="fusion")
+        self.temp1 = Conv1d(self.FUSION_CH, self.TEMPORAL_CH, 5, padding=2, rng=rng,
+                            name="temp1")
+        self.temp2 = Conv1d(self.TEMPORAL_CH, 1, 5, padding=2, rng=rng, name="temp2")
 
     def forward(self, x_hat, h_hat):
         t_len = x_hat.shape[2]
@@ -216,19 +206,14 @@ class LeadDecoder(Module):
 
     def describe(self):
         return {"type": "lead_decoder", "lead": self.lead,
-                "fusion_ch": self.fusion_ch, "temporal_ch": self.temporal_ch}
-
-    @classmethod
-    def from_config(cls, config, seed=0):
-        return cls(lead=config.get("lead", "V1"), seed=seed,
-                   fusion_ch=config.get("fusion_ch", 32),
-                   temporal_ch=config.get("temporal_ch", 16))
+                "fusion_ch": self.FUSION_CH, "temporal_ch": self.TEMPORAL_CH}
 
 
+# the untrained model of a checkpoint's architecture descriptor, by its type
 _MODEL_REGISTRY = {
-    "encoder": Encoder,
-    "projection_head": ProjectionHead,
-    "lead_decoder": LeadDecoder,
+    "encoder": lambda arch: Encoder(),
+    "projection_head": lambda arch: ProjectionHead(),
+    "lead_decoder": lambda arch: LeadDecoder(lead=arch.get("lead", "V1")),
 }
 
 
@@ -282,11 +267,12 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint descriptor {desc_path} is not a JSON object")
     if desc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unknown checkpoint format: {desc.get('format')}")
-    arch = desc["architecture"]
-    cls = _MODEL_REGISTRY.get(arch["type"])
-    if cls is None:
-        raise DataError(f"unknown model type: {arch['type']}")
-    model = cls.from_config(arch)
+    arch = json_field(desc, "architecture", dict, desc_path)
+    kind = json_field(arch, "type", str, f"{desc_path} architecture")
+    build = _MODEL_REGISTRY.get(kind)
+    if build is None:
+        raise DataError(f"unknown model type: {kind}")
+    model = build(arch)
     raw = blob_path.read_bytes()
     if len(raw) % 4:
         raise DataError(f"{blob_path}: {len(raw)} bytes, not whole float32 values")

@@ -9,11 +9,11 @@ class AdamW:
     """Decoupled weight decay is applied before the bias-corrected
     Adam step, so decay acts even when gradients are zero."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3, weight_decay=0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.tensor.data) for p in self.params]
@@ -21,8 +21,8 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for i, p in enumerate(self.params):
             w = p.tensor.data
             if self.weight_decay:
@@ -30,11 +30,11 @@ class AdamW:
             g = p.tensor.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * g * g
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            w -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def zero_grad(self):
         for p in self.params:

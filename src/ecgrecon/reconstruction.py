@@ -15,7 +15,8 @@ import numpy as np
 from . import tensor as T
 from .dataset import CHUNK, TARGET_LEADS, segment_record_nonoverlap
 from .errors import DataError
-from .nn import Encoder, LeadDecoder, save_checkpoint
+from .nn import (Encoder, LeadDecoder, get_parameter_vector, save_checkpoint,
+                 set_parameter_vector)
 from .optim import AdamW
 from .tensor import Tensor
 
@@ -107,10 +108,14 @@ class TrainResult:
     history: list = field(default_factory=list)   # (train_loss, val_loss) per epoch
 
 
-def _prep_arrays(segments, embeddings, lead_idx, stats, conditioned):
+def _prep_arrays(segments, embeddings, stats, conditioned):
+    """(x_hat, h_hat, y_hat [N, 5, T]) of a store, float32; the targets are
+    z-scored one lead at a time, so no float64 copy of the store is made."""
     xs = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
-    ys = segments.y[:, lead_idx].astype(np.float64)
-    ys = ((ys - stats.y_mu[lead_idx]) / (stats.y_sigma[lead_idx] + EPS)).astype(np.float32)
+    ys = np.empty(segments.y.shape, dtype=np.float32)
+    for li in range(len(TARGET_LEADS)):
+        ys[:, li] = ((segments.y[:, li].astype(np.float64) - stats.y_mu[li])
+                     / (stats.y_sigma[li] + EPS))
     if conditioned:
         hs = normalize_h(embeddings, stats.h_mu, stats.h_sigma)
     else:
@@ -118,33 +123,28 @@ def _prep_arrays(segments, embeddings, lead_idx, stats, conditioned):
     return xs, hs, ys
 
 
-def train_decoder(lead, train_segments, val_segments, train_embeddings,
-                  val_embeddings, stats, config=None, log=None):
-    """Train one per-lead decoder with early stopping on validation loss;
-    `stats` is the `NormStats` fitted on the training store.
+def train_decoders(train_segments, val_segments, train_embeddings, val_embeddings,
+                   stats, config, log=None):
+    """Train one decoder per target lead with early stopping on validation
+    loss; `stats` is the `NormStats` fitted on the training store. Returns
+    {lead: TrainResult}, each model holding its best validation epoch's
+    parameters.
 
-    Returns the parameters from the best validation epoch. The clean-only
+    Both stores are normalized once for all leads; each lead trains with
+    its own seeded batch order, model and optimizer. The clean-only
     ablation (config.conditioned=False) zeroes the conditioning channel
     but is otherwise trained identically.
     """
-    config = config or TrainConfig()
     if not len(train_segments):
         raise DataError("zero training segments")
     if not len(val_segments):
         raise DataError("zero validation segments")
-    if lead not in TARGET_LEADS:
-        raise DataError(f"unknown target lead {lead}")
-    lead_idx = TARGET_LEADS.index(lead)
-    xs, hs, ys = _prep_arrays(train_segments, train_embeddings, lead_idx, stats,
-                              config.conditioned)
-    vxs, vhs, vys = _prep_arrays(val_segments, val_embeddings, lead_idx, stats,
-                                 config.conditioned)
+    xs, hs, ys_all = _prep_arrays(train_segments, train_embeddings, stats,
+                                  config.conditioned)
+    vxs, vhs, vys_all = _prep_arrays(val_segments, val_embeddings, stats,
+                                     config.conditioned)
 
-    rng = np.random.default_rng(config.seed)
-    model = LeadDecoder(lead=lead, seed=config.seed)
-    opt = AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-
-    def val_loss():
+    def val_loss(model, vys):
         total = 0.0
         for lo in range(0, len(vxs), CHUNK):
             rows = slice(lo, lo + CHUNK)
@@ -153,32 +153,38 @@ def train_decoder(lead, train_segments, val_segments, train_embeddings,
             total += loss.item() * len(vxs[rows])
         return total / len(vxs)
 
-    from .nn import get_parameter_vector, set_parameter_vector
-    best = (0, np.inf, get_parameter_vector(model))
-    history = []
-    order = np.arange(len(xs))
-    for epoch in range(1, config.max_epochs + 1):
-        rng.shuffle(order)
-        losses = []
-        for lo in range(0, len(order), config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            xb, hb, yb = Tensor(xs[idx]), Tensor(hs[idx]), Tensor(ys[idx])
-            loss = recon_loss(model(xb, hb), yb)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
-        vl = val_loss()
-        history.append((float(np.mean(losses)), vl))
-        if log is not None:
-            log(f"{lead} epoch {epoch} train={history[-1][0]:.5f} val={vl:.5f}")
-        if vl < best[1]:
-            best = (epoch, vl, get_parameter_vector(model))
-        elif epoch - best[0] >= config.patience:
-            break
-    set_parameter_vector(model, best[2])
-    return TrainResult(model=model, best_epoch=best[0], best_val_loss=float(best[1]),
-                       history=history)
+    results = {}
+    for li, lead in enumerate(TARGET_LEADS):
+        ys, vys = ys_all[:, li], vys_all[:, li]
+        rng = np.random.default_rng(config.seed)
+        model = LeadDecoder(lead=lead, seed=config.seed)
+        opt = AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+        best = (0, np.inf, get_parameter_vector(model))
+        history = []
+        order = np.arange(len(xs))
+        for epoch in range(1, config.max_epochs + 1):
+            rng.shuffle(order)
+            losses = []
+            for lo in range(0, len(order), config.batch_size):
+                idx = order[lo:lo + config.batch_size]
+                xb, hb, yb = Tensor(xs[idx]), Tensor(hs[idx]), Tensor(ys[idx])
+                loss = recon_loss(model(xb, hb), yb)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                losses.append(loss.item())
+            vl = val_loss(model, vys)
+            history.append((float(np.mean(losses)), vl))
+            if log is not None:
+                log(f"{lead} epoch {epoch} train={history[-1][0]:.5f} val={vl:.5f}")
+            if vl < best[1]:
+                best = (epoch, vl, get_parameter_vector(model))
+            elif epoch - best[0] >= config.patience:
+                break
+        set_parameter_vector(model, best[2])
+        results[lead] = TrainResult(model=model, best_epoch=best[0],
+                                    best_val_loss=float(best[1]), history=history)
+    return results
 
 
 @dataclass
@@ -204,7 +210,8 @@ class NormStats:
     @classmethod
     def from_dict(cls, d, where="norm_stats"):
         """Statistics from upstream JSON `d`, an object holding a list of
-        numbers per statistic; anything else is a DataError naming `where`."""
+        numbers per statistic: Encoder.EMBED_DIM for h_*, one per target
+        lead for y_*. Anything else is a DataError naming `where`."""
         if not isinstance(d, dict):
             raise DataError(f"{where} is not a JSON object")
         stats = {}
@@ -213,8 +220,9 @@ class NormStats:
                 stats[k] = np.asarray(d[k], dtype=float)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{where}: {k!r} is missing or not numbers: {exc!r}")
-            if stats[k].ndim != 1:
-                raise DataError(f"{where}: {k!r} is not a list of numbers")
+            size = Encoder.EMBED_DIM if k[0] == "h" else len(TARGET_LEADS)
+            if stats[k].shape != (size,):
+                raise DataError(f"{where}: {k!r} is not a list of {size} numbers")
         return cls(**stats)
 
 

@@ -20,6 +20,7 @@ from .errors import (ChecksumError, DataError, HeaderParseError, SchemaError,
                      TruncationError, UnsupportedFormatError)
 
 SUPPORTED_FORMAT = 16
+WRITE_GAIN = 1000.0   # adc units per mV of every written signal
 HIGH_CONFIDENCE_THRESHOLD = 80.0
 
 # adc_gain token: gain, optional (baseline), optional /units
@@ -197,18 +198,13 @@ def read_signals(header, data, verify_checksum=False):
                         record_id=header.record_name)
 
 
-def write_signals(rec, gains=None, baselines=None):
+def write_signals(rec):
     """Encode a SignalRecord as (header, dat_bytes) in format 16.
 
-    Inverse of read_signals for representable values: raw = round(mV*gain + baseline).
+    Inverse of read_signals for representable values: raw = round(mV * WRITE_GAIN),
+    with baseline 0.
     """
-    n_leads = len(rec.lead_names)
-    if gains is None:
-        gains = [1000.0] * n_leads
-    if baselines is None:
-        baselines = [0] * n_leads
-    raw = np.round(rec.samples * np.asarray(gains)[:, None]
-                   + np.asarray(baselines)[:, None])
+    raw = np.round(rec.samples * WRITE_GAIN)
     if raw.min() < -32768 or raw.max() > 32767:
         raise ValueError(f"{rec.record_id}: samples exceed int16 range at given gain")
     raw = raw.astype("<i2").T  # sample-interleaved
@@ -216,11 +212,10 @@ def write_signals(rec, gains=None, baselines=None):
     for i, name in enumerate(rec.lead_names):
         signals.append(SignalSpec(
             file_name=f"{rec.record_id}.dat", format_code=SUPPORTED_FORMAT,
-            adc_gain=float(gains[i]), baseline=int(baselines[i]), units="mV",
-            adc_res=16, adc_zero=int(baselines[i]),
+            adc_gain=WRITE_GAIN, baseline=0, units="mV", adc_res=16, adc_zero=0,
             init_value=int(raw[0, i]), checksum=_signal_checksum(raw[:, i]),
             block_size=0, lead_name=name))
-    header = WfdbHeader(rec.record_id, n_leads, rec.fs, rec.n_samples, signals)
+    header = WfdbHeader(rec.record_id, len(rec.lead_names), rec.fs, rec.n_samples, signals)
     return header, raw.tobytes()
 
 
@@ -237,11 +232,11 @@ def format_header(header):
     return "\n".join(lines) + "\n"
 
 
-def write_record(rec, directory, gains=None, baselines=None):
+def write_record(rec, directory):
     """Write <record_id>.hea and <record_id>.dat under `directory`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header, dat = write_signals(rec, gains=gains, baselines=baselines)
+    header, dat = write_signals(rec)
     (directory / f"{rec.record_id}.hea").write_text(format_header(header))
     (directory / f"{rec.record_id}.dat").write_bytes(dat)
     return header

@@ -20,7 +20,7 @@ from ecgrecon.evaluation import diagonal_consistency, evaluate_model, knn_affini
 from ecgrecon.nn import Encoder, LeadDecoder, ProjectionHead
 from ecgrecon.reconstruction import (EPS, NormStats, TrainConfig, decode,
                                      normalize_x, recon_loss, reconstruct_record,
-                                     train_decoder)
+                                     train_decoders)
 from ecgrecon.tensor import Tensor
 
 from _utils import finite_diff_check, random_unit_rows
@@ -274,9 +274,7 @@ def desk_decoders(desk_splits, desk_embeddings, desk_times):
     for conditioned in (True, False):
         config = TrainConfig(max_epochs=15, patience=15, seed=DESK_SEED,
                              conditioned=conditioned)
-        results[conditioned] = {
-            lead: train_decoder(lead, tr, va, htr, hva, stats, config)
-            for lead in TARGET_LEADS}
+        results[conditioned] = train_decoders(tr, va, htr, hva, stats, config)
     wall = time.perf_counter() - t0
     desk_times["decoders"] = wall
     return results[True], results[False], stats, wall

@@ -123,14 +123,6 @@ def test_bad_config_exit_2(pipeline, tmp_path):
     assert code == 2
 
 
-def test_unknown_lead_exit_2(pipeline, tmp_path):
-    d = pipeline
-    code = main(["train", "--out", str(tmp_path / "o"),
-                 "--data", str(d["split"]), "--embeddings", str(d["embed"]),
-                 "--leads", "II", "--epochs", "1"])
-    assert code == 2
-
-
 def test_missing_data_exit_4(pipeline, tmp_path):
     d = pipeline
     # a split dir whose manifest exists but segment stores were removed
@@ -353,6 +345,8 @@ def _drop_norm_stats_extra(dec):
     pytest.param("evaluate", "dec/norm_stats.json", "5", 4, id="norm-stats"),
     pytest.param("evaluate", "dec/decoder_V4.ckpt.json", "[]", 4, id="checkpoint"),
     pytest.param("evaluate", "dec/manifest.json", "[]", 3, id="upstream-manifest"),
+    pytest.param("evaluate", "dec/manifest.json", '{"config": 5}', 3,
+                 id="upstream-manifest-config"),
 ])
 def test_json_input_of_wrong_type_exit(pipeline, tmp_path, capsys, stage, damaged,
                                        content, code):
@@ -415,6 +409,8 @@ def test_bad_splits_records_exit_4(pipeline, tmp_path, capsys, edit):
     pytest.param(lambda desc: desc["extra"]["norm_stats"].pop("y_mu"), id="stats-missing-key"),
     pytest.param(lambda desc: desc["extra"]["norm_stats"].update(
         h_mu=["x"] * len(desc["extra"]["norm_stats"]["h_mu"])), id="stats-strings"),
+    pytest.param(lambda desc: desc["extra"]["norm_stats"].update(
+        h_mu=desc["extra"]["norm_stats"]["h_mu"][:3]), id="stats-short"),
 ])
 def test_bad_checkpoint_extra_exit_4(pipeline, tmp_path, capsys, edit):
     d = pipeline
@@ -426,6 +422,42 @@ def test_bad_checkpoint_extra_exit_4(pipeline, tmp_path, capsys, edit):
                  str(d["pretrain"]), "--decoders", str(dec)]) == 4
     assert capsys.readouterr().err.startswith("error:data:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, damaged, edit", [
+    pytest.param("embed", "pretrain/encoder.ckpt.json",
+                 lambda desc: desc.pop("architecture"), id="checkpoint-architecture"),
+    pytest.param("embed", "split/segments_train.manifest.json",
+                 lambda manifest: manifest.pop("window"), id="segment-store-window"),
+    pytest.param("train", "embed/embeddings_train.manifest.json",
+                 lambda manifest: manifest.update(shape="x"), id="vector-store-shape"),
+])
+def test_bad_checkpoint_or_store_field_exit_4(pipeline, tmp_path, capsys, stage, damaged,
+                                              edit):
+    d = pipeline
+    for name in ("split", "pretrain", "embed"):
+        shutil.copytree(d[name], tmp_path / name)
+    _edit_json(tmp_path / damaged, edit)
+    inputs = {"embed": ["--encoder", str(tmp_path / "pretrain")],
+              "train": ["--embeddings", str(tmp_path / "embed"), "--epochs", "1"]}[stage]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(tmp_path / "split"), *inputs]) == 4
+    assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, log_lines", [("pretrain", 2), ("train", 2 * 5)])
+def test_epoch_logs_go_to_stderr(pipeline, tmp_path, capsys, stage, log_lines):
+    d = pipeline
+    inputs = {"pretrain": ["--batch-size", "32"],
+              "train": ["--embeddings", str(d["embed"])]}[stage]
+    assert main([stage, "--out", str(tmp_path / "o"), "--data", str(d["split"]),
+                 "--epochs", "2", *inputs]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1
+    assert captured.out.startswith(f"{stage}: ")
+    assert len(captured.err.splitlines()) == log_lines
+    assert "epoch 2" in captured.err
 
 
 def test_unreadable_class_specs_exit_2(tmp_path, capsys):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from ecgrecon import tensor as T
-from ecgrecon.dataset import ALL_LEADS, TARGET_LEADS, Segments, segment_record
+from ecgrecon.dataset import ALL_LEADS, CHUNK, TARGET_LEADS, Segments, segment_record
 from ecgrecon.errors import DataError
-from ecgrecon.nn import LeadDecoder
-from ecgrecon.reconstruction import (EPS, NormStats, TrainConfig, decode,
+from ecgrecon.nn import LeadDecoder, get_parameter_vector, set_parameter_vector
+from ecgrecon.optim import AdamW
+from ecgrecon.reconstruction import (EPS, NormStats, TrainConfig, TrainResult, decode,
                                      denormalize_y, embedding_stats, normalize_h,
                                      normalize_x, recon_loss, reconstruct_record,
-                                     target_lead_stats, train_decoder)
+                                     target_lead_stats, train_decoders)
 from ecgrecon.synth import builtin_class_specs, generate_corpus
 from ecgrecon.tensor import Tensor
 from ecgrecon.wfdb_io import DiagnosticLabels, SignalRecord
@@ -121,11 +122,13 @@ def _training_data(n_classes=2, patients=4):
 def test_train_decoder_early_stopping_returns_best():
     tr, va, htr, hva = _training_data()
     config = TrainConfig(max_epochs=50, patience=3, seed=0, batch_size=16)
-    result = train_decoder("V1", tr, va, htr, hva, NormStats.fit(tr, htr), config)
-    assert len(result.history) < 50          # halted before the cap
-    assert len(result.history) <= result.best_epoch + 3
-    val_losses = [v for _, v in result.history]
-    assert result.best_val_loss == pytest.approx(min(val_losses))
+    results = train_decoders(tr, va, htr, hva, NormStats.fit(tr, htr), config)
+    assert list(results) == list(TARGET_LEADS)
+    for result in results.values():
+        assert len(result.history) < 50          # halted before the cap
+        assert len(result.history) <= result.best_epoch + 3
+        val_losses = [v for _, v in result.history]
+        assert result.best_val_loss == pytest.approx(min(val_losses))
 
 
 def test_train_decoder_conditioned_and_clean_both_finite():
@@ -133,24 +136,89 @@ def test_train_decoder_conditioned_and_clean_both_finite():
     for conditioned in (True, False):
         config = TrainConfig(max_epochs=2, patience=2, seed=0, batch_size=16,
                              conditioned=conditioned)
-        result = train_decoder("V3", tr, va, htr, hva, NormStats.fit(tr, htr),
-                               config)
-        assert np.isfinite(result.best_val_loss)
-        assert len(result.history) == 2
+        results = train_decoders(tr, va, htr, hva, NormStats.fit(tr, htr), config)
+        for result in results.values():
+            assert np.isfinite(result.best_val_loss)
+            assert len(result.history) == 2
 
 
 def test_train_decoder_zero_segments_errors():
     tr, va, htr, hva = _training_data(patients=2)
     with pytest.raises(DataError):
-        train_decoder("V1", [], va, htr[:0], hva, NormStats.fit(tr, htr),
-                      TrainConfig())
+        train_decoders([], va, htr[:0], hva, NormStats.fit(tr, htr), TrainConfig())
 
 
-def test_train_decoder_unknown_lead():
-    tr, va, htr, hva = _training_data(patients=2)
-    with pytest.raises(DataError, match="lead"):
-        train_decoder("II", tr, va, htr, hva, NormStats.fit(tr, htr),
-                      TrainConfig(max_epochs=1))
+def _reference_train_decoder(lead, train_segments, val_segments, train_embeddings,
+                             val_embeddings, stats, config):
+    """One lead's decoder trained on its own z-scored copy of both stores:
+    the per-lead training loop that `train_decoders` replaced."""
+    def prep(segments, embeddings):
+        li = TARGET_LEADS.index(lead)
+        xs = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
+        ys = segments.y[:, li].astype(np.float64)
+        ys = ((ys - stats.y_mu[li]) / (stats.y_sigma[li] + EPS)).astype(np.float32)
+        if config.conditioned:
+            hs = normalize_h(embeddings, stats.h_mu, stats.h_sigma)
+        else:
+            hs = np.zeros((len(segments), embeddings.shape[1]), dtype=np.float32)
+        return xs, hs, ys
+
+    xs, hs, ys = prep(train_segments, train_embeddings)
+    vxs, vhs, vys = prep(val_segments, val_embeddings)
+    rng = np.random.default_rng(config.seed)
+    model = LeadDecoder(lead=lead, seed=config.seed)
+    opt = AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+
+    def val_loss():
+        total = 0.0
+        for lo in range(0, len(vxs), CHUNK):
+            rows = slice(lo, lo + CHUNK)
+            loss = recon_loss(model(Tensor(vxs[rows]), Tensor(vhs[rows])),
+                              Tensor(vys[rows]))
+            total += loss.item() * len(vxs[rows])
+        return total / len(vxs)
+
+    best = (0, np.inf, get_parameter_vector(model))
+    history = []
+    order = np.arange(len(xs))
+    for epoch in range(1, config.max_epochs + 1):
+        rng.shuffle(order)
+        losses = []
+        for lo in range(0, len(order), config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            loss = recon_loss(model(Tensor(xs[idx]), Tensor(hs[idx])), Tensor(ys[idx]))
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+        vl = val_loss()
+        history.append((float(np.mean(losses)), vl))
+        if vl < best[1]:
+            best = (epoch, vl, get_parameter_vector(model))
+        elif epoch - best[0] >= config.patience:
+            break
+    set_parameter_vector(model, best[2])
+    return TrainResult(model=model, best_epoch=best[0], best_val_loss=float(best[1]),
+                       history=history)
+
+
+@pytest.mark.parametrize("conditioned", [True, False])
+def test_train_decoders_match_per_lead_reference(conditioned):
+    tr, va, htr, hva = _training_data()
+    stats = NormStats.fit(tr, htr)
+    config = TrainConfig(lr=1e-2, max_epochs=8, patience=1, seed=0, batch_size=16,
+                         conditioned=conditioned)
+    results = train_decoders(tr, va, htr, hva, stats, config)
+    assert list(results) == list(TARGET_LEADS)
+    # early stopping must end the leads at different epochs
+    assert len({len(r.history) for r in results.values()}) >= 2
+    for lead, result in results.items():
+        ref = _reference_train_decoder(lead, tr, va, htr, hva, stats, config)
+        for p, q in zip(result.model.parameters(), ref.model.parameters()):
+            np.testing.assert_array_equal(p.tensor.data, q.tensor.data)
+        assert result.history == ref.history
+        assert result.best_epoch == ref.best_epoch
+        assert result.best_val_loss == ref.best_val_loss
 
 
 class _ConstantDecoder:
@@ -254,7 +322,7 @@ def test_reconstruct_record_single_window_identity_round_trip():
 def test_conditioning_liveness_after_training():
     tr, va, htr, hva = _training_data(patients=6)
     config = TrainConfig(max_epochs=3, patience=3, seed=0, batch_size=16)
-    result = train_decoder("V1", tr, va, htr, hva, NormStats.fit(tr, htr), config)
+    result = train_decoders(tr, va, htr, hva, NormStats.fit(tr, htr), config)["V1"]
     n = min(8, len(va))
     xs = normalize_x(va.x[:n])[0]
     h_mu, h_sigma = embedding_stats(htr)
