@@ -416,7 +416,10 @@ def _load_decoders(decoder_dir):
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise DependencyError(f"{path / 'manifest.json'}: 'config' is not a JSON object")
-    return decoders, stats, bool(config.get("conditioned", True))
+    conditioned = config.get("conditioned", True)
+    if not isinstance(conditioned, bool):
+        raise DependencyError(f"{path / 'manifest.json'}: 'conditioned' is not a JSON boolean")
+    return decoders, stats, conditioned
 
 
 def _test_records(split_dir):

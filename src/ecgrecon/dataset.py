@@ -260,11 +260,20 @@ def load_segments(path_prefix):
         raise DataError(f"{path_prefix}: {len(meta)} segment entries for "
                         f"n_segments={len(data)}")
     n_in = len(json_field(manifest, "input_leads", list, where))
+    entries = [_segment_entry(m, f"{where} segments[{i}]") for i, m in enumerate(meta)]
     segments = Segments(x=data[:, :n_in], y=data[:, n_in:],
-                        record_id=[m["record_id"] for m in meta],
-                        start=[m["start"] for m in meta], fold=[m["fold"] for m in meta],
-                        labels=[frozenset(m["labels"]) for m in meta])
+                        record_id=[e[0] for e in entries], start=[e[1] for e in entries],
+                        fold=[e[2] for e in entries], labels=[e[3] for e in entries])
     return segments, manifest
+
+
+def _segment_entry(m, where):
+    """(record_id, start, fold, labels) of one `segments` entry of a store."""
+    labels = json_field(m, "labels", list, where)
+    if not all(isinstance(label, str) for label in labels):
+        raise DataError(f"{where}: 'labels' are not all strings")
+    return (json_field(m, "record_id", str, where), json_field(m, "start", int, where),
+            json_field(m, "fold", int, where), frozenset(labels))
 
 
 def save_vectors(path_prefix, matrix, meta=None):

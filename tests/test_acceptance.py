@@ -68,6 +68,10 @@ def _grad_builders(rng):
         return T.tensor_sum(T.mul(T.conv1d(l[0], l[1], l[2],
                                            stride=1, padding=1), l[3]))
 
+    def conv_s1_narrow(l):
+        return T.tensor_sum(T.mul(T.conv1d(l[0], l[1], l[2],
+                                           stride=1, padding=2), l[3]))
+
     def relu(l):
         return T.tensor_sum(T.mul(T.relu(l[0]), l[1]))
 
@@ -133,6 +137,9 @@ def _grad_builders(rng):
         ("fused-projection", fused_projection,
          [n(2, 3, 6), n(2, 4), n(5, 3, 1), n(5), n(4, 5), n(5), n(3, 10, 1),
           n(3), n(2, 3, 6)], 1e-3),
+        # Cout < Cin at stride 1: the input gradient's transposed-convolution path
+        ("conv-stride1-narrow", conv_s1_narrow,
+         [n(2, 4, 8), n(2, 4, 5), n(2), n(2, 2, 8)], 1e-3),
     ]
 
 
@@ -146,7 +153,7 @@ def test_acceptance_02_gradient_suite():
             n_checks += 1
     elapsed = time.perf_counter() - t0
     _report("02 gradient finite-difference suite",
-            n_checks == 21 * 10 and elapsed < 30.0,
+            n_checks == 21 * 11 and elapsed < 30.0,
             f"{n_checks} checks over 21 seeds, rel err < 1e-4, {elapsed:.1f}s")
 
 

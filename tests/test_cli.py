@@ -429,6 +429,9 @@ def test_bad_checkpoint_extra_exit_4(pipeline, tmp_path, capsys, edit):
                  lambda desc: desc.pop("architecture"), id="checkpoint-architecture"),
     pytest.param("embed", "split/segments_train.manifest.json",
                  lambda manifest: manifest.pop("window"), id="segment-store-window"),
+    pytest.param("embed", "split/segments_train.manifest.json",
+                 lambda manifest: manifest["segments"].__setitem__(0, 5),
+                 id="segment-store-entry"),
     pytest.param("train", "embed/embeddings_train.manifest.json",
                  lambda manifest: manifest.update(shape="x"), id="vector-store-shape"),
 ])
@@ -443,6 +446,18 @@ def test_bad_checkpoint_or_store_field_exit_4(pipeline, tmp_path, capsys, stage,
     out = tmp_path / "o"
     assert main([stage, "--out", str(out), "--data", str(tmp_path / "split"), *inputs]) == 4
     assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
+
+
+def test_decoder_conditioned_not_boolean_exit_3(pipeline, tmp_path, capsys):
+    d = pipeline
+    dec = tmp_path / "dec_c"
+    shutil.copytree(d["dec_c"], dec)
+    _edit_json(dec / "manifest.json", lambda m: m["config"].update(conditioned="false"))
+    out = tmp_path / "o"
+    assert main(["evaluate", "--out", str(out), "--data", str(d["split"]), "--encoder",
+                 str(d["pretrain"]), "--decoders", str(dec)]) == 3
+    assert capsys.readouterr().err.startswith("error:dependency:")
     assert not out.exists()
 
 

@@ -110,8 +110,10 @@ def test_conv1d_forward_matches_direct_sum(k, stride, padding):
 
 
 def _conv1d_pad_window_reference(x, w, b, stride, padding, g):
-    """conv1d as an np.pad + sliding_window_view im2col: the output, and
-    the x, w and b gradients of sum(output * g)."""
+    """conv1d as an np.pad + sliding_window_view im2col, summed in the
+    order `conv1d` sums: the output, and the x, w and b gradients of
+    sum(output * g). The input gradient is a transposed convolution at
+    stride 1 with Cout < Cin, a per-tap scatter otherwise."""
     B, Cin, T = x.shape
     Cout, _, K = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
@@ -120,13 +122,33 @@ def _conv1d_pad_window_reference(x, w, b, stride, padding, g):
     cols = win.transpose(0, 1, 3, 2).reshape(B, Cin * K, t_out)
     out = np.matmul(w.reshape(Cout, Cin * K), cols)
     out += b[None, :, None]
-    gw = np.tensordot(g, win, axes=([0, 2], [0, 2]))
+    gw = (g.transpose(1, 0, 2).reshape(Cout, B * t_out)
+          @ win.transpose(1, 3, 0, 2).reshape(Cin * K, B * t_out).T).reshape(Cout, Cin, K)
     gb = np.sum(g, axis=(0, 2), dtype=np.float64).astype(g.dtype)
+    if stride == 1 and Cout < Cin:
+        gp = np.pad(g, ((0, 0), (0, 0), (K - 1, K - 1)))[:, :, padding:padding + T + K - 1]
+        gwin = np.lib.stride_tricks.sliding_window_view(gp, K, axis=2)
+        w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
+        gx = np.matmul(w_flip, gwin.transpose(0, 1, 3, 2).reshape(B, Cout * K, T))
+    else:
+        gx = _conv1d_per_tap_grads(x, w, stride, padding, g)[0]
+    return out, gx, gw, gb
+
+
+def _conv1d_per_tap_grads(x, w, stride, padding, g):
+    """The x and w gradients of sum(conv1d(x, w) * g) as sums over the
+    kernel taps: one [Cin, Cout] matmul per tap, and a tensordot."""
+    B, Cin, T = x.shape
+    Cout, _, K = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
+    t_out = win.shape[2]
+    gw = np.tensordot(g, win, axes=([0, 2], [0, 2]))
     gxp = np.zeros_like(xp)
     w_taps = w.T.copy()
     for k in range(K):
         gxp[:, :, k:k + stride * t_out:stride] += np.matmul(w_taps[k], g)
-    return out, gxp[:, :, padding:padding + T], gw, gb
+    return gxp[:, :, padding:padding + T], gw
 
 
 # (batch, in channels, length, out channels, kernel, stride, padding, input
@@ -139,6 +161,11 @@ NN_CONVS = {"enc0": (4, 3, 256, 32, 7, 2, 3, False), "enc2": (4, 32, 128, 64, 5,
             "temp1-b1": (1, 32, 256, 16, 5, 1, 2, False),
             "pad0-view": (3, 5, 40, 6, 3, 2, 0, True),
             "pointwise-view": (3, 5, 40, 6, 1, 1, 0, True)}
+
+
+# max |got - ref| / max |ref| allowed between the x and w gradients and
+# their per-tap sums, which add the same terms in another order
+GRAD_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -160,6 +187,8 @@ def test_conv1d_bit_identical_to_pad_window_im2col(conv, dtype):
     for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
         assert got.dtype == dtype and got.shape == ref.shape
         np.testing.assert_array_equal(got, ref)
+    for got, ref in zip((xt.grad, wt.grad), _conv1d_per_tap_grads(x, w, stride, padding, g)):
+        assert np.abs(got - ref).max() <= GRAD_RTOL[dtype] * np.abs(ref).max()
 
 
 def _graph_nodes(out):
