@@ -15,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import shutil
 import sys
 import uuid
@@ -106,12 +107,14 @@ def stage_section(args):
 
 def stage_setting(section, key, default, kind, least):
     """`section[key]` (or `default`) as `kind`; a value that is not a
-    number, or is below `least` (None: no bound), is a ConfigError."""
+    finite number, or is below `least` (None: no bound), is a ConfigError."""
     value = section.get(key, default)
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if least is not None and number < least:
         raise ConfigError(f"{key} must be at least {least}, got {value!r}")
     return number
@@ -335,8 +338,8 @@ def cmd_pretrain(args, out, section):
     pc = PretrainConfig(
         batch_size=stage_setting(section, "batch_size", 128, int, 1),
         epochs=stage_setting(section, "epochs", 30, int, 0),
-        lr=stage_setting(section, "lr", 1e-3, float, None),
-        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, None),
+        lr=stage_setting(section, "lr", 1e-3, float, 0),
+        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, 0),
         seed=stage_setting(section, "seed", 0, int, 0))
     segments, _ = load_segments(Path(args.data) / "segments_train")
     encoder, head, history = pretrain(segments, pc, log=_log)
@@ -365,8 +368,8 @@ def cmd_embed(args, out, section):
 
 def cmd_train(args, out, section):
     tc = TrainConfig(
-        lr=stage_setting(section, "lr", 1e-3, float, None),
-        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, None),
+        lr=stage_setting(section, "lr", 1e-3, float, 0),
+        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, 0),
         batch_size=stage_setting(section, "batch_size", 32, int, 1),
         max_epochs=stage_setting(section, "epochs", 100, int, 1),
         patience=stage_setting(section, "patience", 10, int, None),

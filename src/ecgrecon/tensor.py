@@ -64,15 +64,25 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        """Add `g` into .grad. `owned`: the caller made `g` for this call
+        and reads it no more, so a first gradient is kept, not copied.
+        A view of another gradient (a pass-through) is never owned."""
         g = np.asarray(g, dtype=self.dtype)
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad += g
 
     def backward(self):
-        """Reverse sweep from a scalar; populates .grad on reachable leaves."""
+        """Reverse sweep from a scalar; populates .grad on reachable leaves.
+
+        The sweep consumes the graph: once a node's closure has run, the
+        node drops its gradient, closure and parents, so each intermediate
+        array dies as soon as nothing downstream needs it. Afterwards only
+        leaves that require grad, and this root, hold a .grad, and this
+        root has no parents; `backward` runs once per graph.
+        """
         if self.data.size != 1:
             raise ShapeError("backward", self.shape)
         topo = []
@@ -91,13 +101,17 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:     # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
-        # leaves that never require grad keep grad=None
-        for node in topo:
-            if not node.requires_grad:
+            node._backward, node._parents = None, ()
+            if node is not self:
                 node.grad = None
+        if not self.requires_grad:
+            self.grad = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -148,6 +162,12 @@ def _make(data, parents, backward):
     return out
 
 
+def _pass(t, grad, g):
+    """Accumulate `grad` into `t`; it is owned unless it is `g` itself
+    (`add`, or `_unbroadcast` with nothing to sum)."""
+    t._accumulate(grad, owned=grad is not g)
+
+
 def _binary(a, b, fwd, bwd_a, bwd_b, name):
     if not isinstance(a, Tensor):
         a, b = b, a
@@ -160,9 +180,9 @@ def _binary(a, b, fwd, bwd_a, bwd_b, name):
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(bwd_a(g, a.data, b.data), a.shape))
+                _pass(a, _unbroadcast(bwd_a(g, a.data, b.data), a.shape), g)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(bwd_b(g, a.data, b.data), b.shape))
+                _pass(b, _unbroadcast(bwd_b(g, a.data, b.data), b.shape), g)
 
         return _make(data, (a, b), backward)
     c = _as_const(b, a.data)
@@ -172,7 +192,7 @@ def _binary(a, b, fwd, bwd_a, bwd_b, name):
         raise ShapeError(name, a.shape, c.shape)
 
     def backward(g):
-        a._accumulate(_unbroadcast(bwd_a(g, a.data, c), a.shape))
+        _pass(a, _unbroadcast(bwd_a(g, a.data, c), a.shape), g)
 
     return _make(data, (a,), backward)
 
@@ -191,7 +211,7 @@ def power(a, exponent):
     e = float(exponent)
 
     def backward(g):
-        a._accumulate(g * e * np.power(a.data, e - 1.0))
+        a._accumulate(g * e * np.power(a.data, e - 1.0), owned=True)
 
     return _make(np.power(a.data, e), (a,), backward)
 
@@ -200,14 +220,14 @@ def exp(a):
     data = np.exp(a.data)
 
     def backward(g):
-        a._accumulate(g * data)
+        a._accumulate(g * data, owned=True)
 
     return _make(data, (a,), backward)
 
 
 def log(a):
     def backward(g):
-        a._accumulate(g / a.data)
+        a._accumulate(g / a.data, owned=True)
 
     return _make(np.log(a.data), (a,), backward)
 
@@ -216,25 +236,25 @@ def sqrt(a):
     data = np.sqrt(a.data)
 
     def backward(g):
-        a._accumulate(g * 0.5 / data)
+        a._accumulate(g * 0.5 / data, owned=True)
 
     return _make(data, (a,), backward)
 
 
 def absolute(a):
     def backward(g):
-        a._accumulate(g * np.sign(a.data))
+        a._accumulate(g * np.sign(a.data), owned=True)
 
     return _make(np.abs(a.data), (a,), backward)
 
 
 def relu(a):
-    mask = a.data > 0
+    data = np.maximum(a.data, 0)
 
     def backward(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * (data > 0), owned=True)
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(data, (a,), backward)
 
 
 def tensor_sum(a, axis=None, keepdims=False):
@@ -266,9 +286,9 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, owned=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.T @ g, owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -349,9 +369,9 @@ def conv1d(x, w, b=None, stride=1, padding=0):
             # [Cout, B*t_out] @ [B*t_out, Cin*K]; the column copy dies here
             w._accumulate((g.transpose(1, 0, 2).reshape(Cout, B * t_out)
                            @ win.transpose(1, 2, 0, 3).reshape(Cin * K, B * t_out).T)
-                          .reshape(Cout, Cin, K))
+                          .reshape(Cout, Cin, K), owned=True)
         if b is not None and b.requires_grad:
-            b._accumulate(_sum64(g, axis=(0, 2)))
+            b._accumulate(_sum64(g, axis=(0, 2)), owned=True)
         if not x.requires_grad:
             return
         if stride == 1 and Cout < Cin:
@@ -362,13 +382,13 @@ def conv1d(x, w, b=None, stride=1, padding=0):
             gwin = np.lib.stride_tricks.as_strided(gp[:, :, padding:], (B, Cout, K, T),
                                                    (sb, sc, st, st), writeable=False)
             w_flip = w.data[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
-            x._accumulate(np.matmul(w_flip, gwin.reshape(B, Cout * K, T)))
+            x._accumulate(np.matmul(w_flip, gwin.reshape(B, Cout * K, T)), owned=True)
         else:
             gxp = np.zeros_like(xp)
             w_taps = w.data.T.copy()   # [K, Cin, Cout]: each tap contiguous for BLAS
             for k in range(K):
                 gxp[:, :, k:k + stride * t_out:stride] += np.matmul(w_taps[k], g)
-            x._accumulate(gxp[:, :, padding:padding + T])
+            x._accumulate(gxp[:, :, padding:padding + T], owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward)
@@ -406,24 +426,24 @@ def fused_projection(x, h, wx, bx, wh, bh, wf, bf):
         s_b = _sum64(s, axis=0)             # [F]
         gx = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))    # [F, Cx]
         if wx.requires_grad:
-            wx._accumulate((wf_x.T @ gx)[:, :, None])
+            wx._accumulate((wf_x.T @ gx)[:, :, None], owned=True)
         if bx.requires_grad:
-            bx._accumulate(wf_x.T @ s_b)
+            bx._accumulate(wf_x.T @ s_b, owned=True)
         if wf.requires_grad:
             gwf = np.concatenate([gx @ wx2.T + np.outer(s_b, bx.data), s.T @ hp],
                                  axis=1)
-            wf._accumulate(gwf[:, :, None])
+            wf._accumulate(gwf[:, :, None], owned=True)
         if bf.requires_grad:
             bf._accumulate(s_b)
         ghp = s @ wf_h                      # [B, Q]
         if wh.requires_grad:
-            wh._accumulate(h.data.T @ ghp)
+            wh._accumulate(h.data.T @ ghp, owned=True)
         if bh.requires_grad:
-            bh._accumulate(s_b @ wf_h)
+            bh._accumulate(s_b @ wf_h, owned=True)
         if h.requires_grad:
-            h._accumulate(ghp @ wh.data.T)
+            h._accumulate(ghp @ wh.data.T, owned=True)
         if x.requires_grad:
-            x._accumulate(np.matmul(a.T, g))
+            x._accumulate(np.matmul(a.T, g), owned=True)
 
     return _make(data, (x, h, wx, bx, wh, bh, wf, bf), backward)
 
@@ -442,7 +462,7 @@ def broadcast_over_time(v, t):
     data = np.broadcast_to(v.data[:, :, None], v.shape + (t,)).copy()
 
     def backward(g):
-        v._accumulate(_sum64(g, axis=2))
+        v._accumulate(_sum64(g, axis=2), owned=True)
 
     return _make(data, (v,), backward)
 

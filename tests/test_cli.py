@@ -272,6 +272,31 @@ def test_synth_at_floors_publishes_like_mkdir(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "probe"]
 
 
+@pytest.mark.parametrize("stage, options, config", [
+    pytest.param("pretrain", ["--epochs", "1"], {"pretrain": {"lr": float("nan")}},
+                 id="pretrain-lr-nan"),
+    pytest.param("pretrain", ["--epochs", "1"], {"pretrain": {"weight_decay": -1}},
+                 id="pretrain-weight-decay-negative"),
+    pytest.param("train", ["--epochs", "1"], {"train": {"lr": float("inf")}},
+                 id="train-lr-inf"),
+    pytest.param("synth", ["--duration", "nan"], None, id="synth-duration-nan"),
+    pytest.param("synth", ["--duration", "inf"], None, id="synth-duration-inf"),
+])
+def test_non_finite_or_negative_setting_exit_2(pipeline, tmp_path, capsys, stage,
+                                               options, config):
+    d = pipeline
+    inputs = {"synth": SYNTH_1X1, "pretrain": ["--data", str(d["split"])],
+              "train": ["--data", str(d["split"]), "--embeddings", str(d["embed"])]}[stage]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))    # NaN and Infinity, as json writes them
+        options = options + ["--config", str(path)]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), *inputs, *options]) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+    assert not out.exists()
+
+
 def _cut(path, n):
     path.write_bytes(path.read_bytes()[:-n])
 

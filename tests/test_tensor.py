@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ecgrecon import tensor as T
+from ecgrecon.contrastive import supcon_loss
 from ecgrecon.errors import ShapeError
-from ecgrecon.nn import Encoder, LeadDecoder, load_checkpoint, save_checkpoint
+from ecgrecon.nn import (Encoder, LeadDecoder, ProjectionHead, load_checkpoint,
+                         save_checkpoint)
+from ecgrecon.optim import AdamW
 from ecgrecon.tensor import Tensor
 
 from _utils import finite_diff_check
@@ -226,6 +231,55 @@ def test_graph_without_grad_records_no_closures(tmp_path):
         out = loaded(*inputs)
         assert _graph_nodes(out) == [out] and out._backward is None
         np.testing.assert_array_equal(out.data, model(*inputs).data)
+
+
+def test_backward_frees_the_tape_between_steps():
+    # two pretrain steps as `contrastive.pretrain` runs them: the first
+    # step's z and loss stay bound while the second step's forward runs
+    rng = np.random.default_rng(0)
+    encoder, head = Encoder(seed=0), ProjectionHead(seed=1)
+    params = encoder.parameters() + head.parameters()
+    opt = AdamW(params)
+    labels = [{f"c{i % 4}"} for i in range(64)]
+    batches = [rng.normal(size=(64, 3, 256)).astype(np.float32) for _ in range(2)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for x in batches:
+            tracemalloc.reset_peak()
+            z = head(encoder(Tensor(x)))
+            loss = supcon_loss(z, labels)
+            opt.zero_grad()
+            loss.backward()
+            assert _graph_nodes(loss) == [loss]
+            assert all(p.tensor.grad is not None for p in params)
+            opt.step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    # a graph kept alive after backward would stack under the next forward
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_pass_through_gradients_are_copied():
+    # add, reshape and tensor_sum hand their parents a gradient they do
+    # not own. Kept uncopied, each add would give both its leaves one
+    # array, so a's gradient from the other add would land in b's or c's;
+    # and d would keep a read-only broadcast view that its second
+    # gradient cannot be added into.
+    rng = np.random.default_rng(3)
+    p = Tensor(rng.normal(size=6), dtype=np.float64)
+    q = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
+
+    def loss(leaves):
+        a, b, c, d = leaves
+        ab = T.tensor_sum(T.mul(T.reshape(T.add(a, b), (6,)), p))
+        ac = T.tensor_sum(T.mul(T.add(a, c), q))
+        return ab + ac + T.mul(T.tensor_sum(d), T.tensor_sum(d))
+
+    finite_diff_check(loss, [rng.normal(size=(2, 3)) for _ in range(3)]
+                      + [rng.normal(size=4)])
 
 
 @pytest.mark.parametrize("seed", range(5))
