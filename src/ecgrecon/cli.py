@@ -30,8 +30,8 @@ from .dataset import (TARGET_LEADS, Segments, apply_qc, fit_qc_bounds,
                       load_segments, load_vectors, save_segments, save_vectors,
                       segment_record, segment_record_nonoverlap, segment_stats,
                       split_by_fold)
-from .errors import (JSON_TYPES, ConfigError, DataError, DependencyError,
-                     PipelineError, json_field)
+from .errors import (ConfigError, DataError, DependencyError, PipelineError,
+                     json_field, read_json, read_text)
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
                          evaluate_model, knn_affinity)
 from .nn import load_checkpoint
@@ -68,33 +68,16 @@ def write_manifest(out_dir, command, config_snapshot, inputs, outputs,
     (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
-def require_manifest(directory, stage):
-    path = Path(directory) / "manifest.json"
-    if not path.exists():
-        raise DependencyError(f"{stage}: missing upstream manifest {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise DependencyError(f"{stage}: unreadable upstream manifest {path}: {exc}")
-    if not isinstance(manifest, dict):
-        raise DependencyError(f"{stage}: upstream manifest {path} is not a JSON object")
-    return manifest
+def require_manifest(directory):
+    """An upstream stage's manifest; missing or unreadable is a DependencyError."""
+    return read_json(Path(directory) / "manifest.json", dict, DependencyError)
 
 
 def stage_section(args):
     """The stage's section of the JSON `--config`, with the options named
     in `args.settings` laid over it where given."""
-    config = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            config = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-        if not isinstance(config, dict):
-            raise ConfigError("config root must be a JSON object")
+    config = (read_json(args.config, dict, ConfigError)
+              if getattr(args, "config", None) else {})
     section = config.get(args.command, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {args.command!r} must be a JSON object")
@@ -120,18 +103,6 @@ def stage_setting(section, key, default, kind, least):
     return number
 
 
-def _read_json(path, kind):
-    """A JSON file that an upstream stage wrote, whose top level is a `kind`
-    (dict or list); unreadable, or of another type, is a DataError."""
-    try:
-        value = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:   # missing, not UTF-8, or not JSON
-        raise DataError(f"unreadable {path}: {exc}")
-    if not isinstance(value, kind):
-        raise DataError(f"{path}: top level is not a JSON {JSON_TYPES[kind]}")
-    return value
-
-
 # upstream directories a stage can name, in the order its manifest lists them
 UPSTREAM = ("data", "encoder", "embeddings", "decoders", "baseline_decoders")
 
@@ -142,8 +113,8 @@ def _check_out(target, command):
     if not target.exists() or (target.is_dir() and not any(target.iterdir())):
         return
     try:
-        earlier = json.loads((target / "manifest.json").read_text())["command"]
-    except (OSError, ValueError, TypeError, KeyError):
+        earlier = read_json(target / "manifest.json", dict).get("command")
+    except DataError:   # no readable manifest: no earlier output
         earlier = None
     if earlier != command:
         raise ConfigError(f"--out {target} is neither empty nor an earlier "
@@ -155,26 +126,25 @@ def run_stage(args):
 
     `section` is the stage's config section with `args.settings` laid over
     it; the body may add derived settings to it. The body writes into
-    `work`, a fresh sibling of `--out`, and returns (output names relative
-    to `--out`, manifest extras or None, summary line). The manifest goes
-    into `work` last; then the old `--out` is removed and `work` renamed
-    into its place, so on any error `--out` keeps its earlier contents."""
+    `work`, a fresh sibling of `--out`, and returns (manifest extras or
+    None, summary line). The manifest goes into `work` last and lists all
+    it holds as `outputs`; then the old `--out` is removed and `work`
+    renamed into its place, so on any error `--out` keeps its contents."""
     started = _now()
-    out = Path(args.out)
-    target = out.resolve()
+    target = Path(args.out).resolve()
     _check_out(target, args.command)
     section = stage_section(args)
     inputs = [getattr(args, key) for key in UPSTREAM if getattr(args, key, None)]
     if args.command != "preprocess":    # its --data is a corpus, not a stage output
         for path in inputs:
-            require_manifest(path, args.command)
+            require_manifest(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     work = target.parent / f".{target.name}.{uuid.uuid4().hex}.tmp"
     work.mkdir()
     try:
-        outputs, extras, summary = args.func(args, work, section)
+        extras, summary = args.func(args, work, section)
         write_manifest(work, args.command, section, inputs,
-                       [out / name for name in outputs], started, extras)
+                       sorted(p.name for p in work.iterdir()), started, extras)
         if target.exists():
             shutil.rmtree(target)
         work.rename(target)
@@ -217,7 +187,7 @@ def cmd_synth(args, out, section):
     (out / "scp_statements.csv").write_text("\n".join(scp) + "\n")
     (out / "class_specs.json").write_text(
         json.dumps([s.to_dict() for s in specs], indent=1))
-    return (["records", "database.csv"], {"n_records": len(records)},
+    return ({"n_records": len(records)},
             f"synth: wrote {len(records)} records to {Path(args.out)}")
 
 
@@ -236,17 +206,15 @@ def cmd_preprocess(args, out, section):
     scp_path = data_dir / "scp_statements.csv"
     if not scp_path.exists():
         raise DependencyError(f"missing {scp_path}")
-    meta = parse_ptbxl_metadata(db_path.read_text(), scp_path.read_text())
+    meta = parse_ptbxl_metadata(read_text(db_path), read_text(scp_path))
     if not meta.rows:
         raise DataError("metadata contains no parseable rows")
     rates = set()
     clean_dir = out / "cleaned"
     index = []
     for ecg_id, row in meta.rows.items():
-        hea = data_dir / (row.filename_lr + ".hea")
-        if not hea.exists():
-            raise DataError(f"record file missing: {hea}")
-        rec = load_record(hea, verify_checksum=bool(section.get("verify_checksums")))
+        rec = load_record(data_dir / (row.filename_lr + ".hea"),
+                          verify_checksum=bool(section.get("verify_checksums")))
         rates.add(rec.fs)
         out_rec = SignalRecord(samples=dsp.clean_signal(rec.samples, rec.fs, spec),
                                fs=100.0, lead_names=rec.lead_names,
@@ -265,7 +233,7 @@ def cmd_preprocess(args, out, section):
     # the fall-back depends on fs and spec only: one design per sampling rate
     section["bandpass_fallback_40hz"] = any(dsp.design_bandpass(fs, spec)[2]
                                             for fs in sorted(rates))
-    return (["cleaned"], {"n_records": len(index), "n_row_errors": len(meta.errors)},
+    return ({"n_records": len(index), "n_row_errors": len(meta.errors)},
             f"preprocess: cleaned {len(index)} records into {Path(args.out)}")
 
 
@@ -275,10 +243,10 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
     the wrong type or a fold outside 1-10, is a DataError."""
     from .wfdb_io import DiagnosticLabels
     pre = Path(preprocessed_dir)
-    require_manifest(pre, "load-cleaned")
+    require_manifest(pre)
     index_path = pre / "records_index.json"
     records = []
-    for i, entry in enumerate(_read_json(index_path, list)):
+    for i, entry in enumerate(read_json(index_path, list)):
         where = f"{index_path} entry {i}"
         if (record_ids is not None
                 and json_field(entry, "record_id", str, where) not in record_ids):
@@ -329,8 +297,7 @@ def cmd_split(args, out, section):
         "records": {name: [r.record_id for r in recs]
                     for name, recs in splits.items()},
         "rejected": rejected_counts}))
-    return ([f"segments_{name}" for name in kept],
-            {"kept": {k: len(v) for k, v in kept.items()}, "rejected": rejected_counts},
+    return ({"kept": {k: len(v) for k, v in kept.items()}, "rejected": rejected_counts},
             "split: kept " + ", ".join(f"{k}={len(v)}" for k, v in kept.items()))
 
 
@@ -345,7 +312,7 @@ def cmd_pretrain(args, out, section):
     encoder, head, history = pretrain(segments, pc, log=_log)
     save_pretrained(out, encoder, head, history)
     (out / "training_log.json").write_text(json.dumps({"loss": history}))
-    return (["encoder.ckpt.json"], {"final_loss": history[-1] if history else None},
+    return ({"final_loss": history[-1] if history else None},
             f"pretrain: final loss {history[-1]:.6f}" if history else "pretrain: done")
 
 
@@ -362,8 +329,7 @@ def cmd_embed(args, out, section):
         h = embed_all(segments, encoder)
         save_vectors(out / f"embeddings_{name}", h,
                      meta={"split": name, "dim": h.shape[1] if h.size else 128})
-    return ([f"embeddings_{name}" for name in splits], None,
-            f"embed: wrote embeddings to {Path(args.out)}")
+    return (None, f"embed: wrote embeddings to {Path(args.out)}")
 
 
 def cmd_train(args, out, section):
@@ -385,8 +351,7 @@ def cmd_train(args, out, section):
     save_decoders(out, results, stats)
     (out / "norm_stats.json").write_text(json.dumps(stats.to_dict()))
     section["conditioned"] = tc.conditioned
-    return ([f"decoder_{l}.ckpt.json" for l in TARGET_LEADS],
-            {"best_val_loss": {l: r.best_val_loss for l, r in results.items()}},
+    return ({"best_val_loss": {l: r.best_val_loss for l, r in results.items()}},
             "train: " + ", ".join(f"{l} val={r.best_val_loss:.5f}"
                                   for l, r in results.items()))
 
@@ -395,7 +360,7 @@ def _load_decoders(decoder_dir):
     """(decoders by lead, NormStats, conditioned flag) of a `train` output
     directory that holds every target lead."""
     path = Path(decoder_dir)
-    manifest = require_manifest(path, "decoders")
+    manifest = require_manifest(path)
     decoders, stats = {}, None
     for lead in TARGET_LEADS:
         ckpt = path / f"decoder_{lead}.ckpt"
@@ -415,7 +380,7 @@ def _load_decoders(decoder_dir):
         stats_path = path / "norm_stats.json"
         if not stats_path.exists():
             raise DependencyError(f"missing norm_stats under {decoder_dir}")
-        stats = NormStats.from_dict(_read_json(stats_path, dict), stats_path)
+        stats = NormStats.from_dict(read_json(stats_path, dict), stats_path)
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise DependencyError(f"{path / 'manifest.json'}: 'config' is not a JSON object")
@@ -427,7 +392,7 @@ def _load_decoders(decoder_dir):
 
 def _test_records(split_dir):
     where = Path(split_dir) / "splits.json"
-    splits = _read_json(where, dict)
+    splits = read_json(where, dict)
     test = json_field(json_field(splits, "records", dict, where), "test", list,
                       f"{where} records")
     if not all(isinstance(rid, str) for rid in test):
@@ -457,7 +422,7 @@ def cmd_reconstruct(args, out, section):
         sidecar[rec.record_id] = {
             lead: _rmse(recon[i], truth[i]) for i, lead in enumerate(TARGET_LEADS)}
     (out / "reconstruction_metrics.json").write_text(json.dumps(sidecar, indent=1))
-    return (["records"], {"n_records": len(records)}, f"reconstruct: wrote "
+    return ({"n_records": len(records)}, f"reconstruct: wrote "
             f"{len(records)} records to {Path(args.out) / 'records'}")
 
 
@@ -483,7 +448,6 @@ def cmd_evaluate(args, out, section):
         per_class.append(cls + "," + ",".join(
             f"{leads.get(l, float('nan')):.4f}" for l in TARGET_LEADS))
     (out / "per_class_rmse.csv").write_text("\n".join(per_class) + "\n")
-    outputs = ["report.json", "metrics.csv"]
     if args.baseline_decoders:
         base_decoders, base_stats, base_conditioned = _load_decoders(args.baseline_decoders)
         base_report = evaluate_model(records, encoder, base_decoders, base_stats,
@@ -492,9 +456,7 @@ def cmd_evaluate(args, out, section):
         (out / "comparison.csv").write_text(comparison_csv(rows))
         (out / "baseline_report.json").write_text(
             json.dumps(base_report.to_dict(), indent=1))
-        outputs.append("comparison.csv")
-    return (outputs, None,
-            f"evaluate: mean segment RMSE {report.mean_segment_rmse:.4f} mV")
+    return (None, f"evaluate: mean segment RMSE {report.mean_segment_rmse:.4f} mV")
 
 
 def cmd_affinity(args, out, section):
@@ -517,7 +479,7 @@ def cmd_affinity(args, out, section):
                "diagonal_consistency_h": diagonal_consistency(h_aff),
                "diagonal_consistency_x": diagonal_consistency(x_aff)}
     (out / "affinity_summary.json").write_text(json.dumps(summary, indent=1))
-    return (["affinity_h.csv", "affinity_x.csv"], summary,
+    return (summary,
             f"affinity: diag(h)={summary['diagonal_consistency_h']:.3f} "
             f"diag(x)={summary['diagonal_consistency_x']:.3f}")
 

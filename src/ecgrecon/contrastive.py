@@ -8,13 +8,14 @@ batch and act as anchors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .dsp import detect_r_peaks
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .nn import Encoder, ProjectionHead, save_checkpoint
 from .optim import AdamW
 from .tensor import Tensor
@@ -147,7 +148,8 @@ def pretrain(segments, config, log=None):
     """Contrastive pretraining; returns (encoder, projection_head, history).
 
     Only segments with at least one high-confidence label participate.
-    Both views of each segment enter the batch as anchors.
+    Both views of each segment enter the batch as anchors. A step whose
+    loss is not finite is a ConfigError: the run has diverged.
     """
     usable = np.flatnonzero([bool(l) for l in segments.labels])
     if not len(usable):
@@ -181,6 +183,9 @@ def pretrain(segments, config, log=None):
                 labels.extend([segments.labels[i]] * 2)
             z = head(encoder(Tensor(np.stack(views))))
             loss = supcon_loss(z, labels)
+            if not math.isfinite(loss.item()):
+                raise ConfigError(f"pretrain diverged in epoch {epoch + 1} "
+                                  f"at lr={config.lr}")
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, LeakageError, json_field
+from .errors import DataError, LeakageError, json_field, read_json
 from .wfdb_io import fold_to_split
 
 INPUT_LEADS = ("I", "II", "V2")
@@ -214,12 +214,7 @@ def _read_store(path_prefix, fmt, what, shape_of):
     blob_path = Path(str(path_prefix) + ".f32")
     if not man_path.exists() or not blob_path.exists():
         raise DataError(f"{what} store not found: {path_prefix}")
-    try:
-        manifest = json.loads(man_path.read_text())
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise DataError(f"unreadable {what} store manifest {man_path}: {exc}")
-    if not isinstance(manifest, dict):
-        raise DataError(f"{what} store manifest {man_path} is not a JSON object")
+    manifest = read_json(man_path, dict)
     if manifest.get("format") != fmt:
         raise DataError(f"unknown {what} store format: {manifest.get('format')}")
     shape = tuple(shape_of(manifest))

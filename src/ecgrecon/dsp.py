@@ -37,11 +37,23 @@ class FilterSpec:
     median_win_short: float = 0.2   # seconds
     median_win_long: float = 0.6    # seconds
 
+    def __post_init__(self):
+        """Every field a finite number above 0, the order a whole one; the
+        band edges depend on fs and are checked by `_validate_band`."""
+        for name, value in asdict(self).items():
+            kind = int if name == "bandpass_order" else (int, float)
+            if (not isinstance(value, kind) or isinstance(value, bool)
+                    or not 0 < value < math.inf):
+                raise FilterSpecError(f"filter {name} must be a finite number above 0 "
+                                      f"(whole for the order), got {value!r}")
+
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise FilterSpecError(f"filter settings must be a JSON object, got {d!r}")
         return cls(**{k: d[k] for k in asdict(cls()) if k in d})
 
 

@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the pipeline.
 
 Exit-code mapping (see cli): ConfigError -> 2, DependencyError -> 3,
-DataError -> 4, anything else -> 5.
+DataError -> 4, anything else -> 5. `read_text` and `read_json` are the
+one way the pipeline reads a file from outside the process.
 """
+
+import json
+from pathlib import Path
 
 
 class PipelineError(Exception):
@@ -86,4 +90,27 @@ def json_field(obj, key, kind, where):
     value = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise DataError(f"{where}: {key!r} is missing or not a JSON {JSON_TYPES[kind]}")
+    return value
+
+
+def read_text(path, error=DataError):
+    """The text of the UTF-8 file at `path`; a file that is missing,
+    unreadable or not UTF-8 raises `error` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8: {exc}") from None
+
+
+def read_json(path, kind, error=DataError):
+    """The JSON file at `path`, whose top level must be a `kind` (dict or
+    list); otherwise, or where `read_text` refuses it, raises `error`."""
+    try:
+        value = json.loads(read_text(path, error))
+    except ValueError as exc:
+        raise error(f"{path} is not JSON: {exc}") from None
+    if not isinstance(value, kind):
+        raise error(f"{path}: top level is not a JSON {JSON_TYPES[kind]}")
     return value

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, json_field
+from .errors import DataError, json_field, read_json
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "ecgrecon-ckpt-v1"
@@ -259,12 +259,7 @@ def load_checkpoint(path):
     blob_path = path.with_suffix(path.suffix + ".f32")
     if not desc_path.exists() or not blob_path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    try:
-        desc = json.loads(desc_path.read_text())
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise DataError(f"unreadable checkpoint descriptor {desc_path}: {exc}")
-    if not isinstance(desc, dict):
-        raise DataError(f"checkpoint descriptor {desc_path} is not a JSON object")
+    desc = read_json(desc_path, dict)
     if desc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unknown checkpoint format: {desc.get('format')}")
     arch = json_field(desc, "architecture", dict, desc_path)

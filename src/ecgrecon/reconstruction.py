@@ -8,13 +8,14 @@ per-lead statistics, which also drive denormalization at inference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .dataset import CHUNK, TARGET_LEADS, segment_record_nonoverlap
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .nn import (Encoder, LeadDecoder, get_parameter_vector, save_checkpoint,
                  set_parameter_vector)
 from .optim import AdamW
@@ -133,7 +134,8 @@ def train_decoders(train_segments, val_segments, train_embeddings, val_embedding
     Both stores are normalized once for all leads; each lead trains with
     its own seeded batch order, model and optimizer. The clean-only
     ablation (config.conditioned=False) zeroes the conditioning channel
-    but is otherwise trained identically.
+    but is otherwise trained identically. A step whose loss is not finite
+    is a ConfigError: the run has diverged.
     """
     if not len(train_segments):
         raise DataError("zero training segments")
@@ -169,6 +171,9 @@ def train_decoders(train_segments, val_segments, train_embeddings, val_embedding
                 idx = order[lo:lo + config.batch_size]
                 xb, hb, yb = Tensor(xs[idx]), Tensor(hs[idx]), Tensor(ys[idx])
                 loss = recon_loss(model(xb, hb), yb)
+                if not math.isfinite(loss.item()):
+                    raise ConfigError(f"train diverged on {lead} in epoch {epoch} "
+                                      f"at lr={config.lr}")
                 opt.zero_grad()
                 loss.backward()
                 opt.step()

@@ -8,13 +8,12 @@ amplitude jitter stands in for anatomical variability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import ALL_LEADS
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .wfdb_io import DiagnosticLabels, SignalRecord
 
 
@@ -54,13 +53,12 @@ class SynthClassSpec:
 
 
 def load_class_specs(path):
-    """Read a list of SynthClassSpec from a JSON file."""
+    """Read a list of SynthClassSpec from a JSON file; a file that is not a
+    JSON list, or an entry that is not a valid spec, is a ConfigError."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:   # missing, not UTF-8, or not JSON
-        raise ConfigError(f"unreadable class spec file {path}: {exc}")
-    return [SynthClassSpec.from_dict(d) for d in data]
+        return [SynthClassSpec.from_dict(d) for d in read_json(path, list, ConfigError)]
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"{path}: an entry is not a class spec: {exc!r}") from None
 
 
 # Base beat: (center fraction, width seconds) for P, Q, R, S, T

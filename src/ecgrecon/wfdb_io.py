@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ChecksumError, DataError, HeaderParseError, SchemaError,
-                     TruncationError, UnsupportedFormatError)
+                     TruncationError, UnsupportedFormatError, read_text)
 
 SUPPORTED_FORMAT = 16
 WRITE_GAIN = 1000.0   # adc units per mV of every written signal
@@ -245,7 +245,7 @@ def write_record(rec, directory):
 def load_record(hea_path, verify_checksum=False):
     """Read a record given its .hea path; .dat is resolved next to it."""
     hea_path = Path(hea_path)
-    header = parse_header(hea_path.read_text())
+    header = parse_header(read_text(hea_path))
     dat_path = hea_path.parent / header.signals[0].file_name
     if not dat_path.is_file():
         raise DataError(f"signal file missing: {dat_path}")

@@ -568,3 +568,115 @@ def test_foreign_out_exit_2(tmp_path, capsys, manifest):
     assert main(["synth", "--out", str(out), *SYNTH_1X1]) == 2
     assert capsys.readouterr().err.startswith("error:config:")
     assert _tree(out) == before
+
+
+def _write(path, data):
+    """`data` at `path`: bytes as they are, anything else as JSON."""
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+    return str(path)
+
+
+def _config(stage, config):
+    def make(d, tmp):
+        data = {"synth": SYNTH_1X1, "preprocess": ["--data", str(d["raw"])]}[stage]
+        return [stage, *data, "--config", _write(tmp / "config.json", config)]
+    return make
+
+
+def _class_specs(specs):
+    return lambda d, tmp: ["synth", "--class-specs", _write(tmp / "specs.json", specs)]
+
+
+def _corpus_byte(pattern):
+    """preprocess over a copy of the corpus whose first file matching
+    `pattern` ends in a byte that is not UTF-8."""
+    def make(d, tmp):
+        raw = tmp / "raw"
+        shutil.copytree(d["raw"], raw)
+        path = sorted(raw.glob(pattern))[0]
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        return ["preprocess", "--data", str(raw)]
+    return make
+
+
+def _cleaned_hea_missing(stage):
+    """`stage` over copies of the preprocessed and split outputs whose
+    index lists a cleaned test record whose .hea is gone."""
+    def make(d, tmp):
+        pre, split = tmp / "pre", tmp / "split"
+        shutil.copytree(d["pre"], pre)
+        shutil.copytree(d["split"], split)
+        _edit_json(split / "splits.json", lambda s: s.update(preprocessed_dir=str(pre)))
+        test_id = json.loads((split / "splits.json").read_text())["records"]["test"][0]
+        (pre / "cleaned" / f"{test_id}.hea").unlink()
+        if stage == "split":
+            return ["split", "--data", str(pre)]
+        return [stage, "--data", str(split), "--encoder", str(d["pretrain"]),
+                "--decoders", str(d["dec"])]
+    return make
+
+
+@pytest.mark.parametrize("make, code", [
+    pytest.param(_config("synth", b'{"synth": {}}\xff'), 2, id="config-not-utf8"),
+    pytest.param(lambda d, tmp: ["synth", *SYNTH_1X1, "--config", str(tmp)], 2,
+                 id="config-directory"),
+    pytest.param(_class_specs({"a": 1}), 2, id="class-specs-object"),
+    pytest.param(_class_specs([5]), 2, id="class-specs-entry-number"),
+    pytest.param(_class_specs([{}]), 2, id="class-specs-entry-empty"),
+    pytest.param(_class_specs([{"class_name": "A", "waves": {}, "hr_range": [10, 20]}]), 2,
+                 id="class-specs-hr-range"),
+    pytest.param(_corpus_byte("records/*.hea"), 4, id="corpus-hea-not-utf8"),
+    pytest.param(_corpus_byte("database.csv"), 4, id="database-csv-not-utf8"),
+    pytest.param(_cleaned_hea_missing("split"), 4, id="cleaned-hea-missing-split"),
+    pytest.param(_cleaned_hea_missing("evaluate"), 4, id="cleaned-hea-missing-evaluate"),
+    pytest.param(_cleaned_hea_missing("reconstruct"), 4,
+                 id="cleaned-hea-missing-reconstruct"),
+    pytest.param(_config("preprocess", {"preprocess": {"filter": 5}}), 2,
+                 id="filter-not-object"),
+    *[pytest.param(_config("preprocess", {"preprocess": {"filter": {key: value}}}), 2,
+                   id=f"filter-{key}-{value}")
+      for key, value in (("notch_freq", "x"), ("notch_freq", 0), ("bandpass_order", 2.5),
+                         ("median_win_long", "a"), ("bandpass_order", 0),
+                         ("notch_q", 0), ("median_win_short", -1))],
+])
+def test_bad_input_file_exit_code(pipeline, tmp_path, capsys, make, code):
+    out = tmp_path / "o"
+    argv = make(pipeline, tmp_path)
+    assert main([argv[0], "--out", str(out), *argv[1:]]) == code
+    category = {2: "config", 4: "data"}[code]
+    assert capsys.readouterr().err.startswith(f"error:{category}:")
+    assert not out.exists()
+
+
+def test_manifest_outputs_name_every_written_file(pipeline, tmp_path):
+    d = pipeline
+    common = ["--data", str(d["split"]), "--encoder", str(d["pretrain"]),
+              "--decoders", str(d["dec"])]
+    runs = {"eval": ["evaluate", *common, "--baseline-decoders", str(d["dec_c"])],
+            "rec": ["reconstruct", *common],
+            "aff": ["affinity", "--data", str(d["split"]), "--embeddings", str(d["embed"]),
+                    "--k", "3", "--split", "train"]}
+    for name, argv in runs.items():
+        assert main([argv[0], "--out", str(tmp_path / name), *argv[1:]]) == 0
+    outs = [d[k] for k in ("raw", "pre", "split", "pretrain", "embed", "dec", "dec_c")]
+    for out in outs + [tmp_path / name for name in runs]:
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == written, out
+
+
+@pytest.mark.parametrize("stage, options", [
+    ("pretrain", ["--epochs", "1", "--batch-size", "32"]),
+    ("train", ["--epochs", "2"]),
+])
+def test_diverged_training_exit_2(pipeline, tmp_path, capsys, stage, options):
+    d = pipeline
+    if stage == "train":
+        options = options + ["--embeddings", str(d["embed"])]
+    config = _write(tmp_path / "config.json", {stage: {"lr": 1e30}})
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(d["split"]), *options,
+                 "--config", config]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]   # after any numpy overflow warning
+    assert last.startswith("error:config:") and "diverged" in last
+    assert not out.exists()
