@@ -89,15 +89,22 @@ def stage_section(args):
 
 
 def stage_setting(section, key, default, kind, least):
-    """`section[key]` (or `default`) as `kind`; a value that is not a
-    finite number, or is below `least` (None: no bound), is a ConfigError."""
+    """`section[key]` (or `default`) as `kind`. A value that is not a JSON
+    number (a string or a boolean), is not finite as a float, is not whole
+    where `kind` is int, or is below `least` (None: no bound), is a
+    ConfigError."""
     value = section.get(key, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
+        finite = math.isfinite(value)
+    except OverflowError:   # an integer too large for a float
+        finite = False
+    if not finite:
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    number = kind(value)
+    if kind is int and number != value:
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
     if least is not None and number < least:
         raise ConfigError(f"{key} must be at least {least}, got {value!r}")
     return number

@@ -168,32 +168,35 @@ def pretrain(segments, config, log=None):
 
     history = []
     order = np.arange(len(usable))
-    for epoch in range(config.epochs):
-        rng.shuffle(order)
-        epoch_losses = []
-        for lo in range(0, len(order), config.batch_size):
-            idx = usable[order[lo:lo + config.batch_size]]
-            if len(idx) < 2:
-                continue
-            views, labels = [], []
-            for i in idx:
-                pair = make_views(segments.x[i], peak_cache[i],
-                                  seed=int(rng.integers(0, 2 ** 32)))
-                views.extend([pair.view_a, pair.view_b])
-                labels.extend([segments.labels[i]] * 2)
-            z = head(encoder(Tensor(np.stack(views))))
-            loss = supcon_loss(z, labels)
-            if not math.isfinite(loss.item()):
-                raise ConfigError(f"pretrain diverged in epoch {epoch + 1} "
-                                  f"at lr={config.lr}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_losses.append(loss.item())
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-        history.append(mean_loss)
-        if log is not None:
-            log(f"pretrain epoch {epoch + 1}/{config.epochs} loss={mean_loss:.6f}")
+    # a step that overflows is reported by the finite-loss check, not by
+    # numpy warnings on stderr
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            rng.shuffle(order)
+            epoch_losses = []
+            for lo in range(0, len(order), config.batch_size):
+                idx = usable[order[lo:lo + config.batch_size]]
+                if len(idx) < 2:
+                    continue
+                views, labels = [], []
+                for i in idx:
+                    pair = make_views(segments.x[i], peak_cache[i],
+                                      seed=int(rng.integers(0, 2 ** 32)))
+                    views.extend([pair.view_a, pair.view_b])
+                    labels.extend([segments.labels[i]] * 2)
+                z = head(encoder(Tensor(np.stack(views))))
+                loss = supcon_loss(z, labels)
+                if not math.isfinite(loss.item()):
+                    raise ConfigError(f"pretrain diverged in epoch {epoch + 1} "
+                                      f"at lr={config.lr}")
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                epoch_losses.append(loss.item())
+            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
+            history.append(mean_loss)
+            if log is not None:
+                log(f"pretrain epoch {epoch + 1}/{config.epochs} loss={mean_loss:.6f}")
     return encoder, head, history
 
 

@@ -54,7 +54,10 @@ class FilterSpec:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise FilterSpecError(f"filter settings must be a JSON object, got {d!r}")
-        return cls(**{k: d[k] for k in asdict(cls()) if k in d})
+        unknown = sorted(set(d) - set(asdict(cls())))
+        if unknown:
+            raise FilterSpecError(f"unknown filter settings {unknown}")
+        return cls(**d)
 
 
 def _validate_band(spec, fs):

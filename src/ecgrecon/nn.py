@@ -19,16 +19,12 @@ from .tensor import Tensor
 CHECKPOINT_FORMAT = "ecgrecon-ckpt-v1"
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named trainable tensor."""
 
     def __init__(self, name, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-
-    @property
-    def shape(self):
-        return self.tensor.shape
 
 
 def xavier_uniform(shape, fan_in, fan_out, rng):
@@ -37,19 +33,13 @@ def xavier_uniform(shape, fan_in, fan_out, rng):
 
 
 class Module:
-    """Minimal container; subclasses define forward() and describe()."""
-
-    def parameters(self):
-        raise NotImplementedError
-
-    def describe(self):
-        raise NotImplementedError
+    """Minimal container; subclasses define forward() and parameters()."""
 
     def __call__(self, *args):
         return self.forward(*args)
 
     def parameter_count(self):
-        return int(sum(p.tensor.size for p in self.parameters()))
+        return int(sum(p.size for p in self.parameters()))
 
 
 class Conv1d(Module):
@@ -62,8 +52,7 @@ class Conv1d(Module):
         self.bias = Parameter(f"{name}.bias", np.zeros(out_ch, dtype=np.float32))
 
     def forward(self, x):
-        return T.conv1d(x, self.weight.tensor, self.bias.tensor,
-                        stride=self.stride, padding=self.padding)
+        return T.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -75,75 +64,46 @@ class Conv1d(Module):
 
 class Dense(Module):
     def __init__(self, in_dim, out_dim, rng=None, name="dense"):
-        self.in_dim, self.out_dim = in_dim, out_dim
         w = xavier_uniform((in_dim, out_dim), in_dim, out_dim, rng)
         self.weight = Parameter(f"{name}.weight", w)
         self.bias = Parameter(f"{name}.bias", np.zeros(out_dim, dtype=np.float32))
 
     def forward(self, x):
-        return T.add(T.matmul(x, self.weight.tensor), self.bias.tensor)
+        return T.add(T.matmul(x, self.weight), self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]
 
-    def describe(self):
-        return {"type": "dense", "in_dim": self.in_dim, "out_dim": self.out_dim}
-
-
-class ReLU(Module):
-    def forward(self, x):
-        return T.relu(x)
-
-    def parameters(self):
-        return []
-
-    def describe(self):
-        return {"type": "relu"}
-
-
-class Sequential(Module):
-    def __init__(self, layers):
-        self.layers = list(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def describe(self):
-        return {"type": "sequential", "layers": [l.describe() for l in self.layers]}
-
 
 class Encoder(Module):
-    """1-D conv trunk mapping a [B, 3, 256] window to a 128-dim embedding."""
+    """1-D conv trunk mapping a [B, 3, 256] window to a 128-dim embedding.
+
+    A relu follows each conv. The descriptor lists the relus as layers of
+    their own, so the convs are named by their index among all eight."""
 
     EMBED_DIM = 128
 
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
-        self.trunk = Sequential([
+        self.trunk = [
             Conv1d(3, 32, 7, stride=2, padding=3, rng=rng, name="trunk.0"),
-            ReLU(),
             Conv1d(32, 64, 5, stride=2, padding=2, rng=rng, name="trunk.2"),
-            ReLU(),
             Conv1d(64, 128, 3, stride=2, padding=1, rng=rng, name="trunk.4"),
-            ReLU(),
             Conv1d(128, 128, 3, stride=1, padding=1, rng=rng, name="trunk.6"),
-            ReLU(),
-        ])
+        ]
 
     def forward(self, x):
-        return T.global_avg_pool(self.trunk(x))
+        for conv in self.trunk:
+            x = T.relu(conv(x))
+        return T.global_avg_pool(x)
 
     def parameters(self):
-        return self.trunk.parameters()
+        return [p for conv in self.trunk for p in conv.parameters()]
 
     def describe(self):
+        layers = [d for conv in self.trunk for d in (conv.describe(), {"type": "relu"})]
         return {"type": "encoder", "embed_dim": self.EMBED_DIM,
-                "trunk": self.trunk.describe()}
+                "trunk": {"type": "sequential", "layers": layers}}
 
 
 class ProjectionHead(Module):
@@ -193,9 +153,8 @@ class LeadDecoder(Module):
     def forward(self, x_hat, h_hat):
         t_len = x_hat.shape[2]
         fused = T.relu(T.fused_projection(
-            x_hat, h_hat, self.x_proj.weight.tensor, self.x_proj.bias.tensor,
-            self.h_proj.weight.tensor, self.h_proj.bias.tensor,
-            self.fusion.weight.tensor, self.fusion.bias.tensor))
+            x_hat, h_hat, self.x_proj.weight, self.x_proj.bias, self.h_proj.weight,
+            self.h_proj.bias, self.fusion.weight, self.fusion.bias))
         out = self.temp2(T.relu(self.temp1(fused)))
         return T.reshape(out, (out.shape[0], t_len))
 
@@ -218,17 +177,17 @@ _MODEL_REGISTRY = {
 
 
 def get_parameter_vector(model):
-    return np.concatenate([p.tensor.data.ravel() for p in model.parameters()])
+    return np.concatenate([p.data.ravel() for p in model.parameters()])
 
 
 def set_parameter_vector(model, vec):
-    size = sum(p.tensor.size for p in model.parameters())
+    size = sum(p.size for p in model.parameters())
     if size != vec.size:
         raise DataError(f"parameter blob size {vec.size} != model size {size}")
     off = 0
     for p in model.parameters():
-        n = p.tensor.size
-        p.tensor.data = vec[off:off + n].reshape(p.tensor.shape).astype(np.float32).copy()
+        n = p.size
+        p.data = vec[off:off + n].reshape(p.shape).astype(np.float32).copy()
         off += n
 
 
@@ -273,5 +232,5 @@ def load_checkpoint(path):
         raise DataError(f"{blob_path}: {len(raw)} bytes, not whole float32 values")
     set_parameter_vector(model, np.frombuffer(raw, dtype="<f4").copy())
     for p in model.parameters():
-        p.tensor.requires_grad = False
+        p.requires_grad = False
     return model, desc.get("extra")

@@ -16,18 +16,18 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.tensor.data) for p in self.params]
-        self.v = [np.zeros_like(p.tensor.data) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
         for i, p in enumerate(self.params):
-            w = p.tensor.data
+            w = p.data
             if self.weight_decay:
                 w -= self.lr * self.weight_decay * w
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 continue
             self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
@@ -38,4 +38,4 @@ class AdamW:
 
     def zero_grad(self):
         for p in self.params:
-            p.tensor.zero_grad()
+            p.zero_grad()

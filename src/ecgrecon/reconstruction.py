@@ -164,28 +164,31 @@ def train_decoders(train_segments, val_segments, train_embeddings, val_embedding
         best = (0, np.inf, get_parameter_vector(model))
         history = []
         order = np.arange(len(xs))
-        for epoch in range(1, config.max_epochs + 1):
-            rng.shuffle(order)
-            losses = []
-            for lo in range(0, len(order), config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                xb, hb, yb = Tensor(xs[idx]), Tensor(hs[idx]), Tensor(ys[idx])
-                loss = recon_loss(model(xb, hb), yb)
-                if not math.isfinite(loss.item()):
-                    raise ConfigError(f"train diverged on {lead} in epoch {epoch} "
-                                      f"at lr={config.lr}")
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                losses.append(loss.item())
-            vl = val_loss(model, vys)
-            history.append((float(np.mean(losses)), vl))
-            if log is not None:
-                log(f"{lead} epoch {epoch} train={history[-1][0]:.5f} val={vl:.5f}")
-            if vl < best[1]:
-                best = (epoch, vl, get_parameter_vector(model))
-            elif epoch - best[0] >= config.patience:
-                break
+        # a step that overflows is reported by the finite-loss check, not by
+        # numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            for epoch in range(1, config.max_epochs + 1):
+                rng.shuffle(order)
+                losses = []
+                for lo in range(0, len(order), config.batch_size):
+                    idx = order[lo:lo + config.batch_size]
+                    xb, hb, yb = Tensor(xs[idx]), Tensor(hs[idx]), Tensor(ys[idx])
+                    loss = recon_loss(model(xb, hb), yb)
+                    if not math.isfinite(loss.item()):
+                        raise ConfigError(f"train diverged on {lead} in epoch {epoch} "
+                                          f"at lr={config.lr}")
+                    opt.zero_grad()
+                    loss.backward()
+                    opt.step()
+                    losses.append(loss.item())
+                vl = val_loss(model, vys)
+                history.append((float(np.mean(losses)), vl))
+                if log is not None:
+                    log(f"{lead} epoch {epoch} train={history[-1][0]:.5f} val={vl:.5f}")
+                if vl < best[1]:
+                    best = (epoch, vl, get_parameter_vector(model))
+                elif epoch - best[0] >= config.patience:
+                    break
         set_parameter_vector(model, best[2])
         results[lead] = TrainResult(model=model, best_epoch=best[0],
                                     best_val_loss=float(best[1]), history=history)

@@ -8,6 +8,7 @@ amplitude jitter stands in for anatomical variability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,13 @@ class SynthClassSpec:
             for center, width, _amp in comps:
                 if width <= 0:
                     raise ValueError(f"non-positive wave width on {lead}")
+        for name in ("noise_sigma", "wander_amp", "wander_freq"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be at least 0, got {self.noise_sigma!r}")
 
     def to_dict(self):
         return {"class_name": self.class_name,
@@ -57,7 +65,7 @@ def load_class_specs(path):
     JSON list, or an entry that is not a valid spec, is a ConfigError."""
     try:
         return [SynthClassSpec.from_dict(d) for d in read_json(path, list, ConfigError)]
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, KeyError, AttributeError) as exc:
         raise ConfigError(f"{path}: an entry is not a class spec: {exc!r}") from None
 
 

@@ -64,15 +64,12 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g, owned=False):
-        """Add `g` into .grad. `owned`: the caller made `g` for this call
-        and reads it no more, so a first gradient is kept, not copied.
-        A view of another gradient (a pass-through) is never owned."""
+    def _accumulate(self, g):
+        """Add `g` into .grad. No gradient is ever written in place, so a
+        first gradient is kept as it is, even when it is a view of another
+        node's gradient, and a later one is summed into a new array."""
         g = np.asarray(g, dtype=self.dtype)
-        if self.grad is None:
-            self.grad = g if owned else g.copy()
-        else:
-            self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         """Reverse sweep from a scalar; populates .grad on reachable leaves.
@@ -162,12 +159,6 @@ def _make(data, parents, backward):
     return out
 
 
-def _pass(t, grad, g):
-    """Accumulate `grad` into `t`; it is owned unless it is `g` itself
-    (`add`, or `_unbroadcast` with nothing to sum)."""
-    t._accumulate(grad, owned=grad is not g)
-
-
 def _binary(a, b, fwd, bwd_a, bwd_b, name):
     if not isinstance(a, Tensor):
         a, b = b, a
@@ -180,9 +171,9 @@ def _binary(a, b, fwd, bwd_a, bwd_b, name):
 
         def backward(g):
             if a.requires_grad:
-                _pass(a, _unbroadcast(bwd_a(g, a.data, b.data), a.shape), g)
+                a._accumulate(_unbroadcast(bwd_a(g, a.data, b.data), a.shape))
             if b.requires_grad:
-                _pass(b, _unbroadcast(bwd_b(g, a.data, b.data), b.shape), g)
+                b._accumulate(_unbroadcast(bwd_b(g, a.data, b.data), b.shape))
 
         return _make(data, (a, b), backward)
     c = _as_const(b, a.data)
@@ -192,7 +183,7 @@ def _binary(a, b, fwd, bwd_a, bwd_b, name):
         raise ShapeError(name, a.shape, c.shape)
 
     def backward(g):
-        _pass(a, _unbroadcast(bwd_a(g, a.data, c), a.shape), g)
+        a._accumulate(_unbroadcast(bwd_a(g, a.data, c), a.shape))
 
     return _make(data, (a,), backward)
 
@@ -211,7 +202,7 @@ def power(a, exponent):
     e = float(exponent)
 
     def backward(g):
-        a._accumulate(g * e * np.power(a.data, e - 1.0), owned=True)
+        a._accumulate(g * e * np.power(a.data, e - 1.0))
 
     return _make(np.power(a.data, e), (a,), backward)
 
@@ -220,14 +211,14 @@ def exp(a):
     data = np.exp(a.data)
 
     def backward(g):
-        a._accumulate(g * data, owned=True)
+        a._accumulate(g * data)
 
     return _make(data, (a,), backward)
 
 
 def log(a):
     def backward(g):
-        a._accumulate(g / a.data, owned=True)
+        a._accumulate(g / a.data)
 
     return _make(np.log(a.data), (a,), backward)
 
@@ -236,14 +227,14 @@ def sqrt(a):
     data = np.sqrt(a.data)
 
     def backward(g):
-        a._accumulate(g * 0.5 / data, owned=True)
+        a._accumulate(g * 0.5 / data)
 
     return _make(data, (a,), backward)
 
 
 def absolute(a):
     def backward(g):
-        a._accumulate(g * np.sign(a.data), owned=True)
+        a._accumulate(g * np.sign(a.data))
 
     return _make(np.abs(a.data), (a,), backward)
 
@@ -252,7 +243,7 @@ def relu(a):
     data = np.maximum(a.data, 0)
 
     def backward(g):
-        a._accumulate(g * (data > 0), owned=True)
+        a._accumulate(g * (data > 0))
 
     return _make(data, (a,), backward)
 
@@ -286,9 +277,9 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T, owned=True)
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g, owned=True)
+            b._accumulate(a.data.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -369,9 +360,9 @@ def conv1d(x, w, b=None, stride=1, padding=0):
             # [Cout, B*t_out] @ [B*t_out, Cin*K]; the column copy dies here
             w._accumulate((g.transpose(1, 0, 2).reshape(Cout, B * t_out)
                            @ win.transpose(1, 2, 0, 3).reshape(Cin * K, B * t_out).T)
-                          .reshape(Cout, Cin, K), owned=True)
+                          .reshape(Cout, Cin, K))
         if b is not None and b.requires_grad:
-            b._accumulate(_sum64(g, axis=(0, 2)), owned=True)
+            b._accumulate(_sum64(g, axis=(0, 2)))
         if not x.requires_grad:
             return
         if stride == 1 and Cout < Cin:
@@ -382,13 +373,13 @@ def conv1d(x, w, b=None, stride=1, padding=0):
             gwin = np.lib.stride_tricks.as_strided(gp[:, :, padding:], (B, Cout, K, T),
                                                    (sb, sc, st, st), writeable=False)
             w_flip = w.data[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
-            x._accumulate(np.matmul(w_flip, gwin.reshape(B, Cout * K, T)), owned=True)
+            x._accumulate(np.matmul(w_flip, gwin.reshape(B, Cout * K, T)))
         else:
             gxp = np.zeros_like(xp)
             w_taps = w.data.T.copy()   # [K, Cin, Cout]: each tap contiguous for BLAS
             for k in range(K):
                 gxp[:, :, k:k + stride * t_out:stride] += np.matmul(w_taps[k], g)
-            x._accumulate(gxp[:, :, padding:padding + T], owned=True)
+            x._accumulate(gxp[:, :, padding:padding + T])
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward)
@@ -426,24 +417,24 @@ def fused_projection(x, h, wx, bx, wh, bh, wf, bf):
         s_b = _sum64(s, axis=0)             # [F]
         gx = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))    # [F, Cx]
         if wx.requires_grad:
-            wx._accumulate((wf_x.T @ gx)[:, :, None], owned=True)
+            wx._accumulate((wf_x.T @ gx)[:, :, None])
         if bx.requires_grad:
-            bx._accumulate(wf_x.T @ s_b, owned=True)
+            bx._accumulate(wf_x.T @ s_b)
         if wf.requires_grad:
             gwf = np.concatenate([gx @ wx2.T + np.outer(s_b, bx.data), s.T @ hp],
                                  axis=1)
-            wf._accumulate(gwf[:, :, None], owned=True)
+            wf._accumulate(gwf[:, :, None])
         if bf.requires_grad:
             bf._accumulate(s_b)
         ghp = s @ wf_h                      # [B, Q]
         if wh.requires_grad:
-            wh._accumulate(h.data.T @ ghp, owned=True)
+            wh._accumulate(h.data.T @ ghp)
         if bh.requires_grad:
-            bh._accumulate(s_b @ wf_h, owned=True)
+            bh._accumulate(s_b @ wf_h)
         if h.requires_grad:
-            h._accumulate(ghp @ wh.data.T, owned=True)
+            h._accumulate(ghp @ wh.data.T)
         if x.requires_grad:
-            x._accumulate(np.matmul(a.T, g), owned=True)
+            x._accumulate(np.matmul(a.T, g))
 
     return _make(data, (x, h, wx, bx, wh, bh, wf, bf), backward)
 
@@ -462,7 +453,7 @@ def broadcast_over_time(v, t):
     data = np.broadcast_to(v.data[:, :, None], v.shape + (t,)).copy()
 
     def backward(g):
-        v._accumulate(_sum64(g, axis=2), owned=True)
+        v._accumulate(_sum64(g, axis=2))
 
     return _make(data, (v,), backward)
 

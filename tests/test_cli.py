@@ -210,6 +210,9 @@ def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
     pytest.param("train", [], {"train": {"patience": [3]}}, id="train-patience-list"),
     pytest.param("affinity", ["--k", "0"], None, id="affinity-k-0"),
     pytest.param("train", [], {"train": 5}, id="train-section-int"),
+    pytest.param("pretrain", [], {"pretrain": {"epochs": True}}, id="pretrain-epochs-true"),
+    pytest.param("train", [], {"train": {"epochs": 1.5}}, id="train-epochs-fraction"),
+    pytest.param("affinity", [], {"affinity": {"k": "3"}}, id="affinity-k-text"),
 ])
 def test_bad_stage_setting_exit_2(pipeline, tmp_path, capsys, stage, options, config):
     d = pipeline
@@ -281,6 +284,7 @@ def test_synth_at_floors_publishes_like_mkdir(tmp_path, capsys):
                  id="train-lr-inf"),
     pytest.param("synth", ["--duration", "nan"], None, id="synth-duration-nan"),
     pytest.param("synth", ["--duration", "inf"], None, id="synth-duration-inf"),
+    pytest.param("synth", [], {"synth": {"seed": 10 ** 400}}, id="synth-seed-beyond-float"),
 ])
 def test_non_finite_or_negative_setting_exit_2(pipeline, tmp_path, capsys, stage,
                                                options, config):
@@ -625,6 +629,10 @@ def _cleaned_hea_missing(stage):
     pytest.param(_class_specs([{}]), 2, id="class-specs-entry-empty"),
     pytest.param(_class_specs([{"class_name": "A", "waves": {}, "hr_range": [10, 20]}]), 2,
                  id="class-specs-hr-range"),
+    *[pytest.param(_class_specs([{"class_name": "A", "waves": {}, "hr_range": [60, 80],
+                                  key: value}]), 2, id=f"class-specs-{key}-{value}")
+      for key, value in (("noise_sigma", "x"), ("noise_sigma", -1), ("wander_amp", "x"),
+                         ("wander_freq", float("nan")))],
     pytest.param(_corpus_byte("records/*.hea"), 4, id="corpus-hea-not-utf8"),
     pytest.param(_corpus_byte("database.csv"), 4, id="database-csv-not-utf8"),
     pytest.param(_cleaned_hea_missing("split"), 4, id="cleaned-hea-missing-split"),
@@ -637,7 +645,7 @@ def _cleaned_hea_missing(stage):
                    id=f"filter-{key}-{value}")
       for key, value in (("notch_freq", "x"), ("notch_freq", 0), ("bandpass_order", 2.5),
                          ("median_win_long", "a"), ("bandpass_order", 0),
-                         ("notch_q", 0), ("median_win_short", -1))],
+                         ("notch_q", 0), ("median_win_short", -1), ("notch_frq", 60))],
 ])
 def test_bad_input_file_exit_code(pipeline, tmp_path, capsys, make, code):
     out = tmp_path / "o"
@@ -669,7 +677,7 @@ def test_manifest_outputs_name_every_written_file(pipeline, tmp_path):
     ("pretrain", ["--epochs", "1", "--batch-size", "32"]),
     ("train", ["--epochs", "2"]),
 ])
-def test_diverged_training_exit_2(pipeline, tmp_path, capsys, stage, options):
+def test_diverged_training_exit_2(pipeline, tmp_path, capsys, recwarn, stage, options):
     d = pipeline
     if stage == "train":
         options = options + ["--embeddings", str(d["embed"])]
@@ -677,6 +685,9 @@ def test_diverged_training_exit_2(pipeline, tmp_path, capsys, stage, options):
     out = tmp_path / "o"
     assert main([stage, "--out", str(out), "--data", str(d["split"]), *options,
                  "--config", config]) == 2
-    last = capsys.readouterr().err.splitlines()[-1]   # after any numpy overflow warning
+    err = capsys.readouterr().err.splitlines()
+    # a warning would be printed to stderr before the error line
+    assert len(err) == 1 and not recwarn.list, [str(w.message) for w in recwarn]
+    last = err[-1]
     assert last.startswith("error:config:") and "diverged" in last
     assert not out.exists()

@@ -61,8 +61,8 @@ def test_denormalize_round_trip():
 
 def test_decode_zero_inputs_zero_final_layer():
     model = LeadDecoder(lead="V1", seed=0)
-    model.temp2.weight.tensor.data[:] = 0.0
-    model.temp2.bias.tensor.data[:] = 0.0
+    model.temp2.weight.data[:] = 0.0
+    model.temp2.bias.data[:] = 0.0
     out = decode(np.zeros((3, 256)), np.zeros(128), model)
     np.testing.assert_array_equal(out, 0.0)
 
@@ -215,7 +215,7 @@ def test_train_decoders_match_per_lead_reference(conditioned):
     for lead, result in results.items():
         ref = _reference_train_decoder(lead, tr, va, htr, hva, stats, config)
         for p, q in zip(result.model.parameters(), ref.model.parameters()):
-            np.testing.assert_array_equal(p.tensor.data, q.tensor.data)
+            np.testing.assert_array_equal(p.data, q.data)
         assert result.history == ref.history
         assert result.best_epoch == ref.best_epoch
         assert result.best_val_loss == ref.best_val_loss

@@ -227,7 +227,7 @@ def test_graph_without_grad_records_no_closures(tmp_path):
     for model, inputs in ((Encoder(seed=1), (x,)), (LeadDecoder(seed=2), (x, h))):
         save_checkpoint(tmp_path / "model.ckpt", model)
         loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
-        assert not any(p.tensor.requires_grad for p in loaded.parameters())
+        assert not any(p.requires_grad for p in loaded.parameters())
         out = loaded(*inputs)
         assert _graph_nodes(out) == [out] and out._backward is None
         np.testing.assert_array_equal(out.data, model(*inputs).data)
@@ -253,7 +253,7 @@ def test_backward_frees_the_tape_between_steps():
             opt.zero_grad()
             loss.backward()
             assert _graph_nodes(loss) == [loss]
-            assert all(p.tensor.grad is not None for p in params)
+            assert all(p.grad is not None for p in params)
             opt.step()
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
@@ -262,12 +262,50 @@ def test_backward_frees_the_tape_between_steps():
     assert peaks[1] <= 1.25 * peaks[0]
 
 
+ENCODER_DESCRIPTOR = {
+    "type": "encoder", "embed_dim": 128,
+    "trunk": {"type": "sequential", "layers": [
+        {"type": "conv1d", "in_ch": 3, "out_ch": 32, "kernel": 7, "stride": 2, "padding": 3},
+        {"type": "relu"},
+        {"type": "conv1d", "in_ch": 32, "out_ch": 64, "kernel": 5, "stride": 2, "padding": 2},
+        {"type": "relu"},
+        {"type": "conv1d", "in_ch": 64, "out_ch": 128, "kernel": 3, "stride": 2, "padding": 1},
+        {"type": "relu"},
+        {"type": "conv1d", "in_ch": 128, "out_ch": 128, "kernel": 3, "stride": 1, "padding": 1},
+        {"type": "relu"}]}}
+
+
+@pytest.mark.parametrize("model, descriptor, params", [
+    pytest.param(Encoder(), ENCODER_DESCRIPTOR, [
+        ("trunk.0.weight", (32, 3, 7)), ("trunk.0.bias", (32,)),
+        ("trunk.2.weight", (64, 32, 5)), ("trunk.2.bias", (64,)),
+        ("trunk.4.weight", (128, 64, 3)), ("trunk.4.bias", (128,)),
+        ("trunk.6.weight", (128, 128, 3)), ("trunk.6.bias", (128,))], id="encoder"),
+    pytest.param(ProjectionHead(), {"type": "projection_head", "proj_dim": 64}, [
+        ("proj.fc1.weight", (128, 128)), ("proj.fc1.bias", (128,)),
+        ("proj.fc2.weight", (128, 64)), ("proj.fc2.bias", (64,))], id="projection"),
+    pytest.param(LeadDecoder(lead="V4"), {"type": "lead_decoder", "lead": "V4",
+                                          "fusion_ch": 32, "temporal_ch": 16}, [
+        ("x_proj.weight", (128, 3, 1)), ("x_proj.bias", (128,)),
+        ("h_proj.weight", (128, 128)), ("h_proj.bias", (128,)),
+        ("fusion.weight", (32, 256, 1)), ("fusion.bias", (32,)),
+        ("temp1.weight", (16, 32, 5)), ("temp1.bias", (16,)),
+        ("temp2.weight", (1, 16, 5)), ("temp2.bias", (1,))], id="decoder"),
+])
+def test_model_descriptor_and_parameter_order(model, descriptor, params):
+    # the checkpoint's architecture descriptor and the order of its blob
+    assert model.describe() == descriptor
+    assert [(p.name, p.shape) for p in model.parameters()] == params
+    assert all(p.requires_grad and p.dtype == np.float32 for p in model.parameters())
+
+
 def test_pass_through_gradients_are_copied():
-    # add, reshape and tensor_sum hand their parents a gradient they do
-    # not own. Kept uncopied, each add would give both its leaves one
-    # array, so a's gradient from the other add would land in b's or c's;
-    # and d would keep a read-only broadcast view that its second
-    # gradient cannot be added into.
+    # add, reshape and tensor_sum hand their parents a view of a gradient
+    # that another node holds too: each add gives both its leaves one
+    # array, and d's first gradient is a read-only broadcast view. No
+    # gradient is written in place, so a's gradient from the other add
+    # cannot land in b's or c's, and d's second gradient is summed into a
+    # new array.
     rng = np.random.default_rng(3)
     p = Tensor(rng.normal(size=6), dtype=np.float64)
     q = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
