@@ -345,7 +345,7 @@ def cmd_train(args, out, section):
         weight_decay=stage_setting(section, "weight_decay", 1e-4, float, 0),
         batch_size=stage_setting(section, "batch_size", 32, int, 1),
         max_epochs=stage_setting(section, "epochs", 100, int, 1),
-        patience=stage_setting(section, "patience", 10, int, None),
+        patience=stage_setting(section, "patience", 10, int, 1),
         seed=stage_setting(section, "seed", 0, int, 0),
         conditioned=not args.clean_only)
     train_segs, _ = load_segments(Path(args.data) / "segments_train")

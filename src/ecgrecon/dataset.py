@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, LeakageError, json_field, read_json
+from .errors import DataError, LeakageError, json_field, read_json, require_finite
 from .wfdb_io import fold_to_split
 
 INPUT_LEADS = ("I", "II", "V2")
@@ -282,4 +282,4 @@ def load_vectors(path_prefix):
     where = f"{path_prefix}.manifest.json"
     manifest, data = _read_store(path_prefix, VECSTORE_FORMAT, "vector",
                                  lambda m: json_field(m, "shape", list, where))
-    return data.copy(), manifest
+    return require_finite(data.copy(), f"{path_prefix}.f32"), manifest

@@ -8,6 +8,8 @@ one way the pipeline reads a file from outside the process.
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 class PipelineError(Exception):
     """Base class for errors with a machine-parseable category."""
@@ -91,6 +93,16 @@ def json_field(obj, key, kind, where):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise DataError(f"{where}: {key!r} is missing or not a JSON {JSON_TYPES[kind]}")
     return value
+
+
+def require_finite(values, path):
+    """`values`, a float array read from the blob at `path`; a NaN or Inf
+    in it is a DataError naming the file."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DataError(f"{path}: {finite.size - np.count_nonzero(finite)} non-finite "
+                        f"values (NaN or Inf), the first at index {int(np.argmin(finite))}")
+    return values
 
 
 def read_text(path, error=DataError):

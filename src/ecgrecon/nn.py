@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, json_field, read_json
+from .errors import DataError, json_field, read_json, require_finite
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "ecgrecon-ckpt-v1"
@@ -51,8 +51,9 @@ class Conv1d(Module):
         self.weight = Parameter(f"{name}.weight", w)
         self.bias = Parameter(f"{name}.bias", np.zeros(out_ch, dtype=np.float32))
 
-    def forward(self, x):
-        return T.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+    def forward(self, x, relu=False):
+        return T.conv1d(x, self.weight, self.bias, stride=self.stride,
+                        padding=self.padding, relu=relu)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -78,8 +79,9 @@ class Dense(Module):
 class Encoder(Module):
     """1-D conv trunk mapping a [B, 3, 256] window to a 128-dim embedding.
 
-    A relu follows each conv. The descriptor lists the relus as layers of
-    their own, so the convs are named by their index among all eight."""
+    A relu follows each conv, fused into its `conv1d` op. The descriptor
+    lists the relus as layers of their own, so the convs are named by
+    their index among all eight."""
 
     EMBED_DIM = 128
 
@@ -94,7 +96,7 @@ class Encoder(Module):
 
     def forward(self, x):
         for conv in self.trunk:
-            x = T.relu(conv(x))
+            x = conv.forward(x, relu=True)
         return T.global_avg_pool(x)
 
     def parameters(self):
@@ -152,10 +154,10 @@ class LeadDecoder(Module):
 
     def forward(self, x_hat, h_hat):
         t_len = x_hat.shape[2]
-        fused = T.relu(T.fused_projection(
+        fused = T.fused_projection(
             x_hat, h_hat, self.x_proj.weight, self.x_proj.bias, self.h_proj.weight,
-            self.h_proj.bias, self.fusion.weight, self.fusion.bias))
-        out = self.temp2(T.relu(self.temp1(fused)))
+            self.h_proj.bias, self.fusion.weight, self.fusion.bias, relu=True)
+        out = self.temp2(self.temp1.forward(fused, relu=True))
         return T.reshape(out, (out.shape[0], t_len))
 
     def parameters(self):
@@ -230,7 +232,7 @@ def load_checkpoint(path):
     raw = blob_path.read_bytes()
     if len(raw) % 4:
         raise DataError(f"{blob_path}: {len(raw)} bytes, not whole float32 values")
-    set_parameter_vector(model, np.frombuffer(raw, dtype="<f4").copy())
+    set_parameter_vector(model, require_finite(np.frombuffer(raw, dtype="<f4"), blob_path))
     for p in model.parameters():
         p.requires_grad = False
     return model, desc.get("extra")

@@ -317,15 +317,29 @@ def concat(tensors, axis=1):
     return _make(data, tuple(tensors), backward)
 
 
-def conv1d(x, w, b=None, stride=1, padding=0):
-    """1-D convolution: x [B, Cin, T], w [Cout, Cin, K], b [Cout].
+def _windows(x, k, stride, padding, t_out):
+    """The windows of x [B, C, T] as one read-only strided view
+    [B, C, k, t_out], laid out in the order conv1d's matmul reads them; x
+    is zero-padded into a fresh buffer first when `padding > 0`."""
+    if padding:
+        xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * padding,), dtype=x.dtype)
+        xp[:, :, padding:-padding] = x
+        x = xp
+    sb, sc, st = x.strides
+    return np.lib.stride_tricks.as_strided(x, x.shape[:2] + (k, t_out),
+                                           (sb, sc, st, st * stride), writeable=False)
+
+
+def conv1d(x, w, b=None, stride=1, padding=0, relu=False):
+    """1-D convolution: x [B, Cin, T], w [Cout, Cin, K], b [Cout]; with
+    `relu`, followed by max(., 0) as part of the same op.
 
     One im2col matmul for every kernel size, stride and padding: the
-    weight as [Cout, Cin*K] times the windows as [B, Cin*K, t_out]. The
-    windows are one read-only strided view [B, Cin, K, t_out] of the input
-    (zero-padded into a fresh buffer only when `padding > 0`), laid out in
-    the order the matmul reads them; the tape keeps that view, never a
-    copy of it.
+    weight as [Cout, Cin*K] times the windows (`_windows`) as
+    [B, Cin*K, t_out]. The relu clamps that output in place, so the op
+    stores one array, and its backward masks g by `out > 0`. The tape
+    keeps x, not its padded copy or windows: the backward rebuilds the
+    windows from `x.data`, which costs one copy of x when `padding > 0`.
 
     The backward takes the weight gradient as one GEMM, g as
     [Cout, B*t_out] times the windows as [B*t_out, Cin*K]; their column
@@ -343,39 +357,35 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     t_out = (T + 2 * padding - K) // stride + 1
     if t_out < 1:
         raise ShapeError("conv1d", x.shape, w.shape)
-    if padding:
-        xp = np.zeros((B, Cin, T + 2 * padding), dtype=x.data.dtype)
-        xp[:, :, padding:padding + T] = x.data
-    else:
-        xp = x.data
-    sb, sc, st = xp.strides
-    win = np.lib.stride_tricks.as_strided(xp, (B, Cin, K, t_out),
-                                          (sb, sc, st, st * stride), writeable=False)
-    data = np.matmul(w.data.reshape(Cout, Cin * K), win.reshape(B, Cin * K, t_out))
+    data = np.matmul(w.data.reshape(Cout, Cin * K),
+                     _windows(x.data, K, stride, padding, t_out).reshape(B, Cin * K, t_out))
     if b is not None:
         data += b.data[None, :, None]
+    if relu:
+        np.maximum(data, 0, out=data)
 
     def backward(g):
+        if relu:
+            g = g * (data > 0)
         if w.requires_grad:
-            # [Cout, B*t_out] @ [B*t_out, Cin*K]; the column copy dies here
+            # [Cout, B*t_out] @ [B*t_out, Cin*K]; the padded and column
+            # copies die here
+            win = _windows(x.data, K, stride, padding, t_out)
             w._accumulate((g.transpose(1, 0, 2).reshape(Cout, B * t_out)
                            @ win.transpose(1, 2, 0, 3).reshape(Cin * K, B * t_out).T)
                           .reshape(Cout, Cin, K))
+            del win
         if b is not None and b.requires_grad:
             b._accumulate(_sum64(g, axis=(0, 2)))
         if not x.requires_grad:
             return
         if stride == 1 and Cout < Cin:
             # transposed convolution: the flipped kernel over g padded by K - 1
-            gp = np.zeros((B, Cout, t_out + 2 * (K - 1)), dtype=g.dtype)
-            gp[:, :, K - 1:K - 1 + t_out] = g
-            sb, sc, st = gp.strides
-            gwin = np.lib.stride_tricks.as_strided(gp[:, :, padding:], (B, Cout, K, T),
-                                                   (sb, sc, st, st), writeable=False)
+            gwin = _windows(g, K, 1, K - 1, t_out + K - 1)[:, :, :, padding:padding + T]
             w_flip = w.data[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
             x._accumulate(np.matmul(w_flip, gwin.reshape(B, Cout * K, T)))
         else:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((B, Cin, T + 2 * padding), dtype=x.data.dtype)
             w_taps = w.data.T.copy()   # [K, Cin, Cout]: each tap contiguous for BLAS
             for k in range(K):
                 gxp[:, :, k:k + stride * t_out:stride] += np.matmul(w_taps[k], g)
@@ -385,9 +395,10 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     return _make(data, parents, backward)
 
 
-def fused_projection(x, h, wx, bx, wh, bh, wf, bf):
+def fused_projection(x, h, wx, bx, wh, bh, wf, bf, relu=False):
     """The linear fusion block `conv1d(concat([conv1d(x, wx, bx),
-    broadcast_over_time(h @ wh + bh)]), wf, bf)` as one op.
+    broadcast_over_time(h @ wh + bh)]), wf, bf)` as one op; with `relu`,
+    followed by max(., 0) in place, as in `conv1d`.
 
     x [B, Cx, T], h [B, D]; wx [P, Cx, 1], bx [P]; wh [D, Q], bh [Q];
     wf [F, P + Q, 1], bf [F] -> [B, F, T]. No nonlinearity sits between
@@ -411,8 +422,12 @@ def fused_projection(x, h, wx, bx, wh, bh, wf, bf):
     c = hp @ wf_h.T + (wf_x @ bx.data + bf.data)
     data = np.matmul(a, x.data)
     data += c[:, :, None]
+    if relu:
+        np.maximum(data, 0, out=data)
 
     def backward(g):
+        if relu:
+            g = g * (data > 0)
         s = _sum64(g, axis=2)               # [B, F]
         s_b = _sum64(s, axis=0)             # [F]
         gx = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))    # [F, Cx]

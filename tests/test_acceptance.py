@@ -79,6 +79,14 @@ def _grad_builders(rng):
         return T.tensor_sum(T.mul(T.conv1d(l[0], l[1], l[2],
                                            stride=2, padding=2), l[3]))
 
+    def conv_s2_relu(l):
+        return T.tensor_sum(T.mul(T.conv1d(l[0], l[1], l[2], stride=2,
+                                           padding=2, relu=True), l[3]))
+
+    def conv_s1_narrow_relu(l):
+        return T.tensor_sum(T.mul(T.conv1d(l[0], l[1], l[2], stride=1,
+                                           padding=2, relu=True), l[3]))
+
     def dense(l):
         return T.tensor_sum(T.mul(T.add(T.matmul(l[0], l[1]), l[2]), l[3]))
 
@@ -116,6 +124,16 @@ def _grad_builders(rng):
         v = rng.normal(size=s)
         return v + np.sign(v) * 0.3
 
+    def conv_off_kink(stride, padding, *shapes):
+        # redraw x, w and b until every pre-activation is at least 0.05 from
+        # the hinge, so central differences never straddle it
+        while True:
+            leaves = [n(*s) for s in shapes]
+            z = T.conv1d(*(Tensor(a, dtype=np.float64) for a in leaves),
+                         stride=stride, padding=padding)
+            if np.abs(z.data).min() > 0.05:
+                return leaves
+
     base = n(2, 8)
     # keep |y_hat - y| > 0.1 so differences never straddle the |.| kink
     target = base + away_from_kink(2, 8) * 0.5
@@ -140,6 +158,11 @@ def _grad_builders(rng):
         # Cout < Cin at stride 1: the input gradient's transposed-convolution path
         ("conv-stride1-narrow", conv_s1_narrow,
          [n(2, 4, 8), n(2, 4, 5), n(2), n(2, 2, 8)], 1e-3),
+        # conv1d with its relu fused in, on both input-gradient paths
+        ("conv-stride2-relu", conv_s2_relu,
+         conv_off_kink(2, 2, (2, 3, 9), (4, 3, 5), (4,)) + [n(2, 4, 5)], 1e-3),
+        ("conv-stride1-narrow-relu", conv_s1_narrow_relu,
+         conv_off_kink(1, 2, (2, 4, 8), (2, 4, 5), (2,)) + [n(2, 2, 8)], 1e-3),
     ]
 
 
@@ -153,7 +176,7 @@ def test_acceptance_02_gradient_suite():
             n_checks += 1
     elapsed = time.perf_counter() - t0
     _report("02 gradient finite-difference suite",
-            n_checks == 21 * 11 and elapsed < 30.0,
+            n_checks == 21 * 13 and elapsed < 30.0,
             f"{n_checks} checks over 21 seeds, rel err < 1e-4, {elapsed:.1f}s")
 
 

@@ -213,6 +213,8 @@ def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
     pytest.param("pretrain", [], {"pretrain": {"epochs": True}}, id="pretrain-epochs-true"),
     pytest.param("train", [], {"train": {"epochs": 1.5}}, id="train-epochs-fraction"),
     pytest.param("affinity", [], {"affinity": {"k": "3"}}, id="affinity-k-text"),
+    pytest.param("train", ["--patience", "-3"], None, id="train-patience-negative"),
+    pytest.param("train", [], {"train": {"patience": 0}}, id="train-patience-0"),
 ])
 def test_bad_stage_setting_exit_2(pipeline, tmp_path, capsys, stage, options, config):
     d = pipeline
@@ -326,6 +328,42 @@ def test_unreadable_decoder_checkpoint_exit_4(pipeline, tmp_path, damage):
     damage(dec)
     assert main(["evaluate", "--out", str(tmp_path / "o"), "--data", str(d["split"]),
                  "--encoder", str(d["pretrain"]), "--decoders", str(dec)]) == 4
+
+
+def _nan_everywhere(path):
+    path.write_bytes(b"\x00\x00\xc0\x7f" * (path.stat().st_size // 4))
+
+
+def _inf_first(path):
+    path.write_bytes(b"\x00\x00\x80\x7f" + path.read_bytes()[4:])
+
+
+@pytest.mark.parametrize("stage, blob, damage", [
+    pytest.param("embed", "pretrain/encoder.ckpt.f32", _inf_first, id="encoder-inf-embed"),
+    pytest.param("evaluate", "dec/decoder_V1.ckpt.f32", _nan_everywhere,
+                 id="decoder-nan-evaluate"),
+    pytest.param("reconstruct", "dec/decoder_V1.ckpt.f32", _nan_everywhere,
+                 id="decoder-nan-reconstruct"),
+    pytest.param("train", "embed/embeddings_train.f32", _nan_everywhere,
+                 id="embeddings-nan-train"),
+    pytest.param("affinity", "embed/embeddings_train.f32", _nan_everywhere,
+                 id="embeddings-nan-affinity"),
+])
+def test_non_finite_blob_exit_4(pipeline, tmp_path, capsys, stage, blob, damage):
+    d = pipeline
+    for name in ("pretrain", "embed", "dec"):
+        shutil.copytree(d[name], tmp_path / name)
+    damage(tmp_path / blob)
+    decoders = ["--encoder", str(tmp_path / "pretrain"), "--decoders", str(tmp_path / "dec")]
+    inputs = {"embed": ["--encoder", str(tmp_path / "pretrain")],
+              "evaluate": decoders, "reconstruct": decoders,
+              "train": ["--embeddings", str(tmp_path / "embed"), "--epochs", "1"],
+              "affinity": ["--embeddings", str(tmp_path / "embed"), "--split", "train"]}[stage]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(d["split"]), *inputs]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and blob.split("/")[1] in err and "non-finite" in err
+    assert not out.exists()
 
 
 def test_corrupt_upstream_manifest_exit_3(pipeline, tmp_path, capsys):

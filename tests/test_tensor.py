@@ -196,6 +196,53 @@ def test_conv1d_bit_identical_to_pad_window_im2col(conv, dtype):
         assert np.abs(got - ref).max() <= GRAD_RTOL[dtype] * np.abs(ref).max()
 
 
+def _output_and_grads(op, arrays, g, dtype):
+    """The output and the leaf gradients of sum(op(leaves) * g)."""
+    leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+    out = op(*leaves)
+    T.tensor_sum(T.mul(out, Tensor(g, dtype=dtype))).backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("conv", ["enc0", "enc2", "enc4", "enc6", "temp1", "temp1-b1"])
+def test_conv1d_relu_bit_identical_to_conv1d_then_relu(conv, dtype):
+    # every encoder conv (per-tap input gradient) and temp1 (transposed
+    # convolution), whose pre-activations straddle the hinge
+    B, cin, t, cout, k, stride, padding, _ = NN_CONVS[conv]
+    rng = np.random.default_rng(k * 100 + cin)
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((B, cin, t), (cout, cin, k), (cout,))]
+    t_out = (t + 2 * padding - k) // stride + 1
+    g = rng.normal(size=(B, cout, t_out)).astype(dtype)
+    fused = _output_and_grads(
+        lambda x, w, b: T.conv1d(x, w, b, stride=stride, padding=padding, relu=True),
+        arrays, g, dtype)
+    unfused = _output_and_grads(
+        lambda x, w, b: T.relu(T.conv1d(x, w, b, stride=stride, padding=padding)),
+        arrays, g, dtype)
+    assert 0.2 < np.mean(fused[0] > 0) < 0.8
+    for got, want in zip(fused, unfused):
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_fused_projection_relu_bit_identical_to_then_relu(dtype):
+    rng = np.random.default_rng(3)
+    arrays = [rng.normal(size=s).astype(dtype) for s in
+              [(4, 3, 32), (4, 128), (128, 3, 1), (128,), (128, 128), (128,),
+               (32, 256, 1), (32,)]]
+    g = rng.normal(size=(4, 32, 32)).astype(dtype)
+    fused = _output_and_grads(lambda *l: T.fused_projection(*l, relu=True),
+                                arrays, g, dtype)
+    unfused = _output_and_grads(lambda *l: T.relu(T.fused_projection(*l)),
+                                  arrays, g, dtype)
+    assert 0.2 < np.mean(fused[0] > 0) < 0.8
+    for got, want in zip(fused, unfused):
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 def _graph_nodes(out):
     nodes, stack = [], [out]
     while stack:
@@ -260,6 +307,22 @@ def test_backward_frees_the_tape_between_steps():
         tracemalloc.stop()
     # a graph kept alive after backward would stack under the next forward
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_encoder_forward_tape_holds_each_activation_once():
+    # one pretrain-sized forward (256 rows, 128 view pairs): the tape keeps
+    # the four 4 MiB relu outputs (16 MiB) and no conv output or padded copy
+    encoder = Encoder(seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(256, 3, 256)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        h = encoder(x)
+        live = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert h.requires_grad and h.shape == (256, 128)
+    assert live < 24 * 2 ** 20, f"{live / 2 ** 20:.1f} MiB live after the forward"
 
 
 ENCODER_DESCRIPTOR = {
