@@ -43,17 +43,20 @@ class Module:
 
 
 class Conv1d(Module):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None, name="conv"):
+    """A conv layer; with `relu`, its relu runs inside the `conv1d` op."""
+
+    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, relu=False, rng=None,
+                 name="conv"):
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride, self.padding = kernel, stride, padding
+        self.kernel, self.stride, self.padding, self.relu = kernel, stride, padding, relu
         fan_in, fan_out = in_ch * kernel, out_ch * kernel
         w = xavier_uniform((out_ch, in_ch, kernel), fan_in, fan_out, rng)
         self.weight = Parameter(f"{name}.weight", w)
         self.bias = Parameter(f"{name}.bias", np.zeros(out_ch, dtype=np.float32))
 
-    def forward(self, x, relu=False):
+    def forward(self, x):
         return T.conv1d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding, relu=relu)
+                        padding=self.padding, relu=self.relu)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -88,15 +91,15 @@ class Encoder(Module):
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
         self.trunk = [
-            Conv1d(3, 32, 7, stride=2, padding=3, rng=rng, name="trunk.0"),
-            Conv1d(32, 64, 5, stride=2, padding=2, rng=rng, name="trunk.2"),
-            Conv1d(64, 128, 3, stride=2, padding=1, rng=rng, name="trunk.4"),
-            Conv1d(128, 128, 3, stride=1, padding=1, rng=rng, name="trunk.6"),
+            Conv1d(3, 32, 7, stride=2, padding=3, relu=True, rng=rng, name="trunk.0"),
+            Conv1d(32, 64, 5, stride=2, padding=2, relu=True, rng=rng, name="trunk.2"),
+            Conv1d(64, 128, 3, stride=2, padding=1, relu=True, rng=rng, name="trunk.4"),
+            Conv1d(128, 128, 3, stride=1, padding=1, relu=True, rng=rng, name="trunk.6"),
         ]
 
     def forward(self, x):
         for conv in self.trunk:
-            x = conv.forward(x, relu=True)
+            x = conv(x)
         return T.global_avg_pool(x)
 
     def parameters(self):
@@ -148,16 +151,16 @@ class LeadDecoder(Module):
         self.x_proj = Conv1d(3, 128, 1, rng=rng, name="x_proj")
         self.h_proj = Dense(128, 128, rng=rng, name="h_proj")
         self.fusion = Conv1d(256, self.FUSION_CH, 1, rng=rng, name="fusion")
-        self.temp1 = Conv1d(self.FUSION_CH, self.TEMPORAL_CH, 5, padding=2, rng=rng,
-                            name="temp1")
+        self.temp1 = Conv1d(self.FUSION_CH, self.TEMPORAL_CH, 5, padding=2, relu=True,
+                            rng=rng, name="temp1")
         self.temp2 = Conv1d(self.TEMPORAL_CH, 1, 5, padding=2, rng=rng, name="temp2")
 
     def forward(self, x_hat, h_hat):
         t_len = x_hat.shape[2]
-        fused = T.fused_projection(
+        fused = T.relu(T.fused_projection(
             x_hat, h_hat, self.x_proj.weight, self.x_proj.bias, self.h_proj.weight,
-            self.h_proj.bias, self.fusion.weight, self.fusion.bias, relu=True)
-        out = self.temp2(self.temp1.forward(fused, relu=True))
+            self.h_proj.bias, self.fusion.weight, self.fusion.bias))
+        out = self.temp2(self.temp1(fused))
         return T.reshape(out, (out.shape[0], t_len))
 
     def parameters(self):

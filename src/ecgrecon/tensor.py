@@ -395,10 +395,9 @@ def conv1d(x, w, b=None, stride=1, padding=0, relu=False):
     return _make(data, parents, backward)
 
 
-def fused_projection(x, h, wx, bx, wh, bh, wf, bf, relu=False):
+def fused_projection(x, h, wx, bx, wh, bh, wf, bf):
     """The linear fusion block `conv1d(concat([conv1d(x, wx, bx),
-    broadcast_over_time(h @ wh + bh)]), wf, bf)` as one op; with `relu`,
-    followed by max(., 0) in place, as in `conv1d`.
+    broadcast_over_time(h @ wh + bh)]), wf, bf)` as one op.
 
     x [B, Cx, T], h [B, D]; wx [P, Cx, 1], bx [P]; wh [D, Q], bh [Q];
     wf [F, P + Q, 1], bf [F] -> [B, F, T]. No nonlinearity sits between
@@ -422,12 +421,8 @@ def fused_projection(x, h, wx, bx, wh, bh, wf, bf, relu=False):
     c = hp @ wf_h.T + (wf_x @ bx.data + bf.data)
     data = np.matmul(a, x.data)
     data += c[:, :, None]
-    if relu:
-        np.maximum(data, 0, out=data)
 
     def backward(g):
-        if relu:
-            g = g * (data > 0)
         s = _sum64(g, axis=2)               # [B, F]
         s_b = _sum64(s, axis=0)             # [F]
         gx = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))    # [F, Cx]

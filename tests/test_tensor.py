@@ -226,23 +226,6 @@ def test_conv1d_relu_bit_identical_to_conv1d_then_relu(conv, dtype):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-def test_fused_projection_relu_bit_identical_to_then_relu(dtype):
-    rng = np.random.default_rng(3)
-    arrays = [rng.normal(size=s).astype(dtype) for s in
-              [(4, 3, 32), (4, 128), (128, 3, 1), (128,), (128, 128), (128,),
-               (32, 256, 1), (32,)]]
-    g = rng.normal(size=(4, 32, 32)).astype(dtype)
-    fused = _output_and_grads(lambda *l: T.fused_projection(*l, relu=True),
-                                arrays, g, dtype)
-    unfused = _output_and_grads(lambda *l: T.relu(T.fused_projection(*l)),
-                                  arrays, g, dtype)
-    assert 0.2 < np.mean(fused[0] > 0) < 0.8
-    for got, want in zip(fused, unfused):
-        assert got.dtype == dtype and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
-
-
 def _graph_nodes(out):
     nodes, stack = [], [out]
     while stack:
