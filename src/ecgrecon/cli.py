@@ -48,7 +48,7 @@ def _now():
 
 def _config_hash(snapshot):
     return hashlib.sha256(
-        json.dumps(snapshot, sort_keys=True, default=str).encode()).hexdigest()
+        json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
 
 
 def write_manifest(out_dir, command, config_snapshot, inputs, outputs,
@@ -73,27 +73,52 @@ def require_manifest(directory):
     return read_json(Path(directory) / "manifest.json", dict, DependencyError)
 
 
-def stage_section(args):
-    """The stage's section of the JSON `--config`, with the options named
-    in `args.settings` laid over it where given."""
-    config = (read_json(args.config, dict, ConfigError)
-              if getattr(args, "config", None) else {})
-    section = config.get(args.command, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {args.command!r} must be a JSON object")
-    section = dict(section)
-    for key in args.settings:
-        if getattr(args, key) is not None:
-            section[key] = getattr(args, key)
-    return section
+def _filter_spec(value):
+    """The complete filter spec of a config's `filter` object."""
+    return dsp.FilterSpec.from_dict(value).to_dict()
 
 
-def stage_setting(section, key, default, kind, least):
-    """`section[key]` (or `default`) as `kind`. A value that is not a JSON
-    number (a string or a boolean), is not finite as a float, is not whole
-    where `kind` is int, or is below `least` (None: no bound), is a
-    ConfigError."""
-    value = section.get(key, default)
+# Each stage's settings, one row each: (name, flag, kind, default, floor).
+# A flag of None: the setting comes from the config only; a floor of None:
+# no lower bound. A stage named here takes `--config`.
+SETTINGS = {
+    "synth": (("classes", "--classes", int, 4, 1),
+              ("patients", "--patients", int, 30, 1),
+              ("records_per_patient", "--records", int, 2, 1),
+              # at least one sample at synth's 100 Hz
+              ("duration", "--duration", float, 10.0, 0.01),
+              ("seed", "--seed", int, 0, 0)),
+    "preprocess": (("verify_checksums", "--verify-checksums", bool, False, None),
+                   ("filter", None, _filter_spec, {}, None)),
+    "split": (("lo_pct", None, float, 0.1, 0),
+              ("hi_pct", None, float, 99.9, None)),
+    "pretrain": (("epochs", "--epochs", int, PretrainConfig.epochs, 0),
+                 ("batch_size", "--batch-size", int, PretrainConfig.batch_size, 1),
+                 ("lr", None, float, PretrainConfig.lr, 0),
+                 ("weight_decay", None, float, PretrainConfig.weight_decay, 0),
+                 ("seed", "--seed", int, PretrainConfig.seed, 0)),
+    "train": (("epochs", "--epochs", int, TrainConfig.max_epochs, 1),
+              ("patience", "--patience", int, TrainConfig.patience, 1),
+              ("batch_size", "--batch-size", int, TrainConfig.batch_size, 1),
+              ("lr", None, float, TrainConfig.lr, 0),
+              ("weight_decay", None, float, TrainConfig.weight_decay, 0),
+              ("seed", "--seed", int, TrainConfig.seed, 0)),
+    "affinity": (("k", "--k", int, 10, 1),),
+}
+
+
+def _setting(key, value, kind, least):
+    """`value` of setting `key` as `kind`. A bool must be a JSON boolean.
+    An int or float must be a JSON number (not a string or a boolean),
+    finite as a float, whole where `kind` is int, and at least `least`
+    (None: no bound). Any other kind converts `value` itself. A value
+    that fails is a ConfigError."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
+        return value
+    if kind not in (int, float):
+        return kind(value)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
@@ -108,6 +133,29 @@ def stage_setting(section, key, default, kind, least):
     if least is not None and number < least:
         raise ConfigError(f"{key} must be at least {least}, got {value!r}")
     return number
+
+
+def stage_settings(args):
+    """The value used for each setting in the stage's table: its flag where
+    given, else its key in the stage's section of the JSON `--config`,
+    else its default. A section that is not an object, or that holds a key
+    no row names, is a ConfigError."""
+    rows = SETTINGS.get(args.command, ())
+    config = (read_json(args.config, dict, ConfigError)
+              if getattr(args, "config", None) else {})
+    section = config.get(args.command, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {args.command!r} must be a JSON object")
+    unknown = sorted(set(section) - {row[0] for row in rows})
+    if unknown:
+        raise ConfigError(f"unknown {args.command} settings {unknown}; known: "
+                          + ", ".join(row[0] for row in rows))
+    values = {}
+    for key, flag, kind, default, least in rows:
+        given = getattr(args, key) if flag else None
+        values[key] = _setting(key, section.get(key, default) if given is None else given,
+                               kind, least)
+    return values
 
 
 # upstream directories a stage can name, in the order its manifest lists them
@@ -129,10 +177,11 @@ def _check_out(target, command):
 
 
 def run_stage(args):
-    """Run the stage body `args.func(args, work, section)` and publish.
+    """Run the stage body `args.func(args, work, settings)` and publish.
 
-    `section` is the stage's config section with `args.settings` laid over
-    it; the body may add derived settings to it. The body writes into
+    `settings` holds the values of the stage's settings (`stage_settings`)
+    and becomes the manifest `config`; the body may add to it what it
+    derives from them or from its inputs. The body writes into
     `work`, a fresh sibling of `--out`, and returns (manifest extras or
     None, summary line). The manifest goes into `work` last and lists all
     it holds as `outputs`; then the old `--out` is removed and `work`
@@ -140,7 +189,7 @@ def run_stage(args):
     started = _now()
     target = Path(args.out).resolve()
     _check_out(target, args.command)
-    section = stage_section(args)
+    settings = stage_settings(args)
     inputs = [getattr(args, key) for key in UPSTREAM if getattr(args, key, None)]
     if args.command != "preprocess":    # its --data is a corpus, not a stage output
         for path in inputs:
@@ -149,8 +198,8 @@ def run_stage(args):
     work = target.parent / f".{target.name}.{uuid.uuid4().hex}.tmp"
     work.mkdir()
     try:
-        extras, summary = args.func(args, work, section)
-        write_manifest(work, args.command, section, inputs,
+        extras, summary = args.func(args, work, settings)
+        write_manifest(work, args.command, settings, inputs,
                        sorted(p.name for p in work.iterdir()), started, extras)
         if target.exists():
             shutil.rmtree(target)
@@ -167,20 +216,16 @@ def _log(line):
     print(line, file=sys.stderr)
 
 
-def cmd_synth(args, out, section):
+def cmd_synth(args, out, settings):
     if args.class_specs:
         specs = load_class_specs(args.class_specs)
     else:
-        specs = builtin_class_specs()[:stage_setting(section, "classes", 4, int, 1)]
+        specs = builtin_class_specs()[:settings["classes"]]
     if not specs:
         raise ConfigError("need at least one class spec")
-    records = generate_corpus(
-        specs,
-        n_patients_per_class=stage_setting(section, "patients", 30, int, 1),
-        records_per_patient=stage_setting(section, "records_per_patient", 2, int, 1),
-        seed=stage_setting(section, "seed", 0, int, 0),
-        # at least one sample at synth's 100 Hz
-        duration=stage_setting(section, "duration", 10.0, float, 0.01))
+    records = generate_corpus(specs, n_patients_per_class=settings["patients"],
+                              records_per_patient=settings["records_per_patient"],
+                              seed=settings["seed"], duration=settings["duration"])
     rec_dir = out / "records"
     rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
     for rec in records:
@@ -206,8 +251,8 @@ def _find_database_csv(data_dir):
     raise DependencyError(f"no database CSV found under {data_dir}")
 
 
-def cmd_preprocess(args, out, section):
-    spec = dsp.FilterSpec.from_dict(section.get("filter", {}))
+def cmd_preprocess(args, out, settings):
+    spec = dsp.FilterSpec(**settings["filter"])
     data_dir = Path(args.data)
     db_path = _find_database_csv(data_dir)
     scp_path = data_dir / "scp_statements.csv"
@@ -221,7 +266,7 @@ def cmd_preprocess(args, out, section):
     index = []
     for ecg_id, row in meta.rows.items():
         rec = load_record(data_dir / (row.filename_lr + ".hea"),
-                          verify_checksum=bool(section.get("verify_checksums")))
+                          verify_checksum=settings["verify_checksums"])
         rates.add(rec.fs)
         out_rec = SignalRecord(samples=dsp.clean_signal(rec.samples, rec.fs, spec),
                                fs=100.0, lead_names=rec.lead_names,
@@ -236,9 +281,8 @@ def cmd_preprocess(args, out, section):
     (out / "records_index.json").write_text(json.dumps(index))
     if meta.errors:
         (out / "row_errors.json").write_text(json.dumps(meta.errors, indent=1))
-    section["filter"] = spec.to_dict()
     # the fall-back depends on fs and spec only: one design per sampling rate
-    section["bandpass_fallback_40hz"] = any(dsp.design_bandpass(fs, spec)[2]
+    settings["bandpass_fallback_40hz"] = any(dsp.design_bandpass(fs, spec)[2]
                                             for fs in sorted(rates))
     return ({"n_records": len(index), "n_row_errors": len(meta.errors)},
             f"preprocess: cleaned {len(index)} records into {Path(args.out)}")
@@ -275,9 +319,8 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
     return records
 
 
-def cmd_split(args, out, section):
-    lo_pct = stage_setting(section, "lo_pct", 0.1, float, 0)
-    hi_pct = stage_setting(section, "hi_pct", 99.9, float, None)
+def cmd_split(args, out, settings):
+    lo_pct, hi_pct = settings["lo_pct"], settings["hi_pct"]
     if not lo_pct < hi_pct <= 100:
         raise ConfigError(f"need 0 <= lo_pct < hi_pct <= 100, got lo_pct={lo_pct}, "
                           f"hi_pct={hi_pct}")
@@ -308,13 +351,8 @@ def cmd_split(args, out, section):
             "split: kept " + ", ".join(f"{k}={len(v)}" for k, v in kept.items()))
 
 
-def cmd_pretrain(args, out, section):
-    pc = PretrainConfig(
-        batch_size=stage_setting(section, "batch_size", 128, int, 1),
-        epochs=stage_setting(section, "epochs", 30, int, 0),
-        lr=stage_setting(section, "lr", 1e-3, float, 0),
-        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, 0),
-        seed=stage_setting(section, "seed", 0, int, 0))
+def cmd_pretrain(args, out, settings):
+    pc = PretrainConfig(**settings)
     segments, _ = load_segments(Path(args.data) / "segments_train")
     encoder, head, history = pretrain(segments, pc, log=_log)
     save_pretrained(out, encoder, head, history)
@@ -328,7 +366,7 @@ def _load_encoder(encoder_dir):
     return encoder
 
 
-def cmd_embed(args, out, section):
+def cmd_embed(args, out, settings):
     encoder = _load_encoder(args.encoder)
     splits = ("train", "val", "test")
     for name in splits:
@@ -339,15 +377,11 @@ def cmd_embed(args, out, section):
     return (None, f"embed: wrote embeddings to {Path(args.out)}")
 
 
-def cmd_train(args, out, section):
-    tc = TrainConfig(
-        lr=stage_setting(section, "lr", 1e-3, float, 0),
-        weight_decay=stage_setting(section, "weight_decay", 1e-4, float, 0),
-        batch_size=stage_setting(section, "batch_size", 32, int, 1),
-        max_epochs=stage_setting(section, "epochs", 100, int, 1),
-        patience=stage_setting(section, "patience", 10, int, 1),
-        seed=stage_setting(section, "seed", 0, int, 0),
-        conditioned=not args.clean_only)
+def cmd_train(args, out, settings):
+    tc = TrainConfig(lr=settings["lr"], weight_decay=settings["weight_decay"],
+                     batch_size=settings["batch_size"], max_epochs=settings["epochs"],
+                     patience=settings["patience"], seed=settings["seed"],
+                     conditioned=not args.clean_only)
     train_segs, _ = load_segments(Path(args.data) / "segments_train")
     val_segs, _ = load_segments(Path(args.data) / "segments_val")
     h_train, _ = load_vectors(Path(args.embeddings) / "embeddings_train")
@@ -357,7 +391,7 @@ def cmd_train(args, out, section):
                              log=_log)
     save_decoders(out, results, stats)
     (out / "norm_stats.json").write_text(json.dumps(stats.to_dict()))
-    section["conditioned"] = tc.conditioned
+    settings["conditioned"] = tc.conditioned
     return ({"best_val_loss": {l: r.best_val_loss for l, r in results.items()}},
             "train: " + ", ".join(f"{l} val={r.best_val_loss:.5f}"
                                   for l, r in results.items()))
@@ -408,7 +442,7 @@ def _test_records(split_dir):
                                  set(test))
 
 
-def cmd_reconstruct(args, out, section):
+def cmd_reconstruct(args, out, settings):
     encoder = _load_encoder(args.encoder)
     decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
@@ -433,7 +467,7 @@ def cmd_reconstruct(args, out, section):
             f"{len(records)} records to {Path(args.out) / 'records'}")
 
 
-def cmd_evaluate(args, out, section):
+def cmd_evaluate(args, out, settings):
     encoder = _load_encoder(args.encoder)
     decoders, stats, conditioned = _load_decoders(args.decoders)
     records = _test_records(args.data)
@@ -466,8 +500,8 @@ def cmd_evaluate(args, out, section):
     return (None, f"evaluate: mean segment RMSE {report.mean_segment_rmse:.4f} mV")
 
 
-def cmd_affinity(args, out, section):
-    k = stage_setting(section, "k", 10, int, 1)
+def cmd_affinity(args, out, settings):
+    k = settings["k"]
     split = args.split
     segments, _ = load_segments(Path(args.data) / f"segments_{split}")
     h, _ = load_vectors(Path(args.embeddings) / f"embeddings_{split}")
@@ -494,88 +528,52 @@ def cmd_affinity(args, out, section):
 def build_parser():
     parser = argparse.ArgumentParser(prog="ecgrecon",
                                      description="Reduced-lead ECG reconstruction pipeline")
-
-    def common(sp, *options):
-        """--out, plus --seed and --config on the stages that read them."""
-        if "seed" in options:
-            sp.add_argument("--seed", type=int, default=None)
-        if "config" in options:
-            sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--out", required=True, help="output directory")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="generate a synthetic WFDB corpus")
-    common(sp, "seed", "config")
-    sp.add_argument("--classes", type=int, default=None)
-    sp.add_argument("--patients", type=int, default=None)
-    sp.add_argument("--records", type=int, default=None, dest="records_per_patient",
-                    metavar="RECORDS")
-    sp.add_argument("--duration", type=float, default=None)
+    def stage(name, func, about, data):
+        """The subparser of stage `name`: --out, --data (`data` is its help;
+        None: no --data), and, if the stage has a settings table, --config
+        and the flag of each row that has one."""
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument("--out", required=True, help="output directory")
+        if data:
+            sp.add_argument("--data", required=True, help=data)
+        if name in SETTINGS:
+            sp.add_argument("--config", default=None, help="JSON config file")
+        for key, flag, kind, _, _ in SETTINGS.get(name, ()):
+            if flag and kind is bool:
+                sp.add_argument(flag, dest=key, action="store_true", default=None)
+            elif flag:
+                sp.add_argument(flag, dest=key, type=kind, default=None,
+                                metavar=flag[2:].upper().replace("-", "_"))
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = stage("synth", cmd_synth, "generate a synthetic WFDB corpus", None)
     sp.add_argument("--class-specs", default=None, help="JSON class spec file")
-    sp.set_defaults(func=cmd_synth, settings=(
-        "classes", "patients", "records_per_patient", "duration", "seed"))
-
-    sp = sub.add_parser("preprocess", help="clean and resample a corpus")
-    common(sp, "config")
-    sp.add_argument("--data", required=True, help="corpus directory")
-    sp.add_argument("--verify-checksums", action="store_true", default=None)
-    sp.set_defaults(func=cmd_preprocess, settings=("verify_checksums",))
-
-    sp = sub.add_parser("split", help="patient-wise split, QC, segment stores")
-    common(sp, "config")
-    sp.add_argument("--data", required=True, help="preprocessed directory")
-    sp.set_defaults(func=cmd_split, settings=())
-
-    sp = sub.add_parser("pretrain", help="contrastive pretraining")
-    common(sp, "seed", "config")
-    sp.add_argument("--data", required=True, help="split directory")
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch-size", type=int, default=None)
-    sp.set_defaults(func=cmd_pretrain, settings=("epochs", "batch_size", "seed"))
-
-    sp = sub.add_parser("embed", help="export embeddings for all splits")
-    common(sp)
-    sp.add_argument("--data", required=True, help="split directory")
+    stage("preprocess", cmd_preprocess, "clean and resample a corpus", "corpus directory")
+    stage("split", cmd_split, "patient-wise split, QC, segment stores",
+          "preprocessed directory")
+    stage("pretrain", cmd_pretrain, "contrastive pretraining", "split directory")
+    sp = stage("embed", cmd_embed, "export embeddings for all splits", "split directory")
     sp.add_argument("--encoder", required=True, help="pretrain directory")
-    sp.set_defaults(func=cmd_embed, settings=())
-
-    sp = sub.add_parser("train", help="train per-lead decoders")
-    common(sp, "seed", "config")
-    sp.add_argument("--data", required=True, help="split directory")
+    sp = stage("train", cmd_train, "train per-lead decoders", "split directory")
     sp.add_argument("--embeddings", required=True, help="embed directory")
     sp.add_argument("--clean-only", action="store_true",
                     help="train the unconditioned (C) ablation")
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--patience", type=int, default=None)
-    sp.add_argument("--batch-size", type=int, default=None)
-    sp.set_defaults(func=cmd_train,
-                    settings=("epochs", "patience", "seed", "batch_size"))
-
-    sp = sub.add_parser("reconstruct", help="reconstruct full test records")
-    common(sp)
-    sp.add_argument("--data", required=True, help="split directory")
+    sp = stage("reconstruct", cmd_reconstruct, "reconstruct full test records",
+               "split directory")
     sp.add_argument("--encoder", required=True)
     sp.add_argument("--decoders", required=True)
-    sp.set_defaults(func=cmd_reconstruct, settings=())
-
-    sp = sub.add_parser("evaluate", help="metrics report on the test split")
-    common(sp)
-    sp.add_argument("--data", required=True, help="split directory")
+    sp = stage("evaluate", cmd_evaluate, "metrics report on the test split",
+               "split directory")
     sp.add_argument("--encoder", required=True)
     sp.add_argument("--decoders", required=True)
     sp.add_argument("--baseline-decoders", default=None,
                     help="second decoder set for a comparison table")
-    sp.set_defaults(func=cmd_evaluate, settings=())
-
-    sp = sub.add_parser("affinity", help="k-NN class-affinity matrices")
-    common(sp, "config")
-    sp.add_argument("--data", required=True, help="split directory")
+    sp = stage("affinity", cmd_affinity, "k-NN class-affinity matrices", "split directory")
     sp.add_argument("--embeddings", required=True, help="embed directory")
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_affinity, settings=("k",))
-
     return parser
 
 

@@ -215,6 +215,7 @@ def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
     pytest.param("affinity", [], {"affinity": {"k": "3"}}, id="affinity-k-text"),
     pytest.param("train", ["--patience", "-3"], None, id="train-patience-negative"),
     pytest.param("train", [], {"train": {"patience": 0}}, id="train-patience-0"),
+    pytest.param("train", [], {"train": {"conditioned": False}}, id="train-conditioned-key"),
 ])
 def test_bad_stage_setting_exit_2(pipeline, tmp_path, capsys, stage, options, config):
     d = pipeline
@@ -684,6 +685,9 @@ def _cleaned_hea_missing(stage):
       for key, value in (("notch_freq", "x"), ("notch_freq", 0), ("bandpass_order", 2.5),
                          ("median_win_long", "a"), ("bandpass_order", 0),
                          ("notch_q", 0), ("median_win_short", -1), ("notch_frq", 60))],
+    pytest.param(_config("synth", {"synth": {"patient": 1}}), 2, id="synth-unknown-key"),
+    *[pytest.param(_config("preprocess", {"preprocess": {"verify_checksums": value}}), 2,
+                   id=f"verify-checksums-{value}") for value in ("no", 1)],
 ])
 def test_bad_input_file_exit_code(pipeline, tmp_path, capsys, make, code):
     out = tmp_path / "o"
@@ -729,3 +733,57 @@ def test_diverged_training_exit_2(pipeline, tmp_path, capsys, recwarn, stage, op
     last = err[-1]
     assert last.startswith("error:config:") and "diverged" in last
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, recorded", [
+    pytest.param(["synth", "--classes", "1", "--duration", "1"], {"synth": {"patients": 3.0}},
+                 {"patients": 3, "classes": 1, "records_per_patient": 2, "seed": 0},
+                 id="synth-whole-float"),
+    pytest.param(["split", "--data", "pre"], None, {"lo_pct": 0.1, "hi_pct": 99.9},
+                 id="split-defaults"),
+    pytest.param(["preprocess", "--data", "raw"], None,
+                 {"verify_checksums": False, "bandpass_fallback_40hz": False},
+                 id="preprocess-defaults"),
+    pytest.param(["train", "--data", "split", "--embeddings", "embed", "--epochs", "1"], None,
+                 {"epochs": 1, "patience": 10, "lr": 1e-3, "conditioned": True},
+                 id="train-defaults"),
+])
+def test_manifest_config_records_values_used(pipeline, tmp_path, argv, config, recorded):
+    stage, *options = argv
+    options = [str(pipeline[o]) if o in pipeline else o for o in options]
+    if config is not None:
+        options += ["--config", _write(tmp_path / "config.json", config)]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), *options]) == 0
+    used = json.loads((out / "manifest.json").read_text())["config"]
+    assert {key: used[key] for key in recorded} == recorded
+    assert all(type(used[key]) is type(value) for key, value in recorded.items())
+
+
+def test_cli_surface():
+    import argparse
+    from ecgrecon.cli import build_parser
+    parser = build_parser()
+    stages = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, sp in stages.items()}
+    upstream = {"--out", "--data"}
+    assert options == {
+        "synth": {"--out", "--config", "--seed", "--classes", "--patients", "--records",
+                  "--duration", "--class-specs"},
+        "preprocess": upstream | {"--config", "--verify-checksums"},
+        "split": upstream | {"--config"},
+        "pretrain": upstream | {"--config", "--seed", "--epochs", "--batch-size"},
+        "embed": upstream | {"--encoder"},
+        "train": upstream | {"--config", "--seed", "--embeddings", "--clean-only",
+                             "--epochs", "--patience", "--batch-size"},
+        "reconstruct": upstream | {"--encoder", "--decoders"},
+        "evaluate": upstream | {"--encoder", "--decoders", "--baseline-decoders"},
+        "affinity": upstream | {"--config", "--embeddings", "--split", "--k"},
+    }
+    assert parser.parse_args(["synth", "--out", "o", "--records", "2"]).records_per_patient == 2
+    assert parser.parse_args(["preprocess", "--out", "o", "--data", "d",
+                              "--verify-checksums"]).verify_checksums is True
+    assert parser.parse_args(["train", "--out", "o", "--data", "d", "--embeddings", "e",
+                              "--clean-only"]).clean_only is True

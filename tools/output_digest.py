@@ -1,0 +1,84 @@
+"""The sha256 of every file the small CLI recipe writes.
+
+    python3 tools/output_digest.py --work DIR
+
+Run from the root of a source checkout. Runs the recipe of
+`tests/test_cli.py` through `ecgrecon.cli.main` into DIR, with one BLAS
+thread: synth (3 classes x 10 patients x 1 record of 6 s, seed 0),
+`preprocess --verify-checksums`, split, `pretrain --epochs 1 --batch-size
+32 --seed 0`, embed, conditioned and `--clean-only` train (`--epochs 1
+--seed 0` each), evaluate with `--baseline-decoders`, reconstruct and
+`affinity --k 3 --split train`. Prints one JSON object that maps the path
+of every file under DIR, relative to DIR, to its sha256, leaving out each
+stage's `manifest.json` (it holds timestamps and absolute paths). Store
+manifests and checkpoints are kept. `splits.json` holds the absolute path
+of the preprocessed directory, so compare two checkouts with the same DIR.
+A stage that exits non-zero stops the script with exit 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def recipe(work):
+    """The argument lists of the recipe's stages, in order, writing into `work`."""
+    d = {name: str(work / name) for name in
+         ("raw", "pre", "split", "pretrain", "embed", "dec", "dec_c", "eval", "recon", "aff")}
+    split = ["--data", d["split"]]
+    decoders = [*split, "--encoder", d["pretrain"], "--decoders", d["dec"]]
+    return [
+        ["synth", "--out", d["raw"], "--classes", "3", "--patients", "10",
+         "--records", "1", "--duration", "6", "--seed", "0"],
+        ["preprocess", "--out", d["pre"], "--data", d["raw"], "--verify-checksums"],
+        ["split", "--out", d["split"], "--data", d["pre"]],
+        ["pretrain", "--out", d["pretrain"], *split, "--epochs", "1",
+         "--batch-size", "32", "--seed", "0"],
+        ["embed", "--out", d["embed"], *split, "--encoder", d["pretrain"]],
+        ["train", "--out", d["dec"], *split, "--embeddings", d["embed"],
+         "--epochs", "1", "--seed", "0"],
+        ["train", "--out", d["dec_c"], *split, "--embeddings", d["embed"],
+         "--epochs", "1", "--seed", "0", "--clean-only"],
+        ["evaluate", "--out", d["eval"], *decoders, "--baseline-decoders", d["dec_c"]],
+        ["reconstruct", "--out", d["recon"], *decoders],
+        ["affinity", "--out", d["aff"], *split, "--embeddings", d["embed"],
+         "--k", "3", "--split", "train"],
+    ]
+
+
+def digest(work):
+    """{path relative to `work`: sha256} of every file but the stage manifests."""
+    return {str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(work.rglob("*"))
+            if path.is_file() and path.relative_to(work).parts[1:] != ("manifest.json",)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--work", required=True, help="directory the stages write into")
+    args = parser.parse_args(argv)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    sys.path[:0] = [str(ROOT / "src")]
+    from ecgrecon.cli import main as run
+
+    work = Path(args.work).resolve()
+    for argv in recipe(work):
+        with contextlib.redirect_stdout(sys.stderr):    # stdout holds only the digest
+            code = run(argv)
+        if code != 0:
+            print(f"output_digest: {argv[0]} exited {code}", file=sys.stderr)
+            return 1
+    print(json.dumps(digest(work), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
