@@ -9,13 +9,23 @@ amplitude jitter stands in for anatomical variability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ALL_LEADS
 from .errors import ConfigError, read_json
 from .wfdb_io import DiagnosticLabels, SignalRecord
+
+
+# a class name is part of record file names and a CSV field
+_CLASS_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -29,17 +39,23 @@ class SynthClassSpec:
     wander_freq: float = 0.25
 
     def __post_init__(self):
+        if not isinstance(self.class_name, str) or not _CLASS_NAME.fullmatch(self.class_name):
+            raise ValueError("class_name must be letters, digits and underscores, "
+                             f"got {self.class_name!r}")
         lo, hi = self.hr_range
         if not (40.0 <= lo <= hi <= 180.0):
             raise ValueError(f"heart-rate range {self.hr_range} outside [40, 180]")
         for lead, comps in self.waves.items():
-            for center, width, _amp in comps:
-                if width <= 0:
+            if lead not in ALL_LEADS:
+                raise ValueError(f"unknown lead {lead!r}, not one of {ALL_LEADS}")
+            for comp in comps:
+                if len(comp) != 3 or not all(map(_finite_number, comp)):
+                    raise ValueError(f"a wave on {lead} is not three finite numbers: {comp!r}")
+                if comp[1] <= 0:
                     raise ValueError(f"non-positive wave width on {lead}")
         for name in ("noise_sigma", "wander_amp", "wander_freq"):
             value = getattr(self, name)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be at least 0, got {self.noise_sigma!r}")
@@ -62,11 +78,17 @@ class SynthClassSpec:
 
 def load_class_specs(path):
     """Read a list of SynthClassSpec from a JSON file; a file that is not a
-    JSON list, or an entry that is not a valid spec, is a ConfigError."""
+    JSON list, an entry that is not a valid spec, or a class name used twice
+    is a ConfigError."""
     try:
-        return [SynthClassSpec.from_dict(d) for d in read_json(path, list, ConfigError)]
+        specs = [SynthClassSpec.from_dict(d) for d in read_json(path, list, ConfigError)]
     except (TypeError, ValueError, OverflowError, KeyError, AttributeError) as exc:
         raise ConfigError(f"{path}: an entry is not a class spec: {exc!r}") from None
+    names = [s.class_name for s in specs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"{path}: class names used more than once: {repeated}")
+    return specs
 
 
 # Base beat: (center fraction, width seconds) for P, Q, R, S, T
@@ -121,7 +143,11 @@ def generate_record(spec, duration, fs, seed, amp_scale=None, heart_rate=None,
     """Render one record; a pure function of its arguments.
 
     Beat k places each wave at t = (k + center) * period, rendered only
-    within 40 widths of it, so the cost is linear in duration.
+    within 40 widths of it, so the cost is linear in duration. Each (lead,
+    wave) pair is one array pass: one exp over a [beats, window] block,
+    whose rows are then added into the lead beat by beat. Float addition is
+    not associative, so keeping each sample's sum in the (wave, beat) order
+    of a bump-by-bump loop is what keeps every output byte the same.
     Optional per-lead amplitude scaling models per-patient anatomy.
     """
     rng = np.random.default_rng(seed)
@@ -131,20 +157,29 @@ def generate_record(spec, duration, fs, seed, amp_scale=None, heart_rate=None,
     t = np.arange(n) / fs
     wander_phase = rng.uniform(0.0, 2.0 * np.pi)
     n_beats = int(np.ceil(duration / period)) + 1
+    beats = np.arange(-1.0, n_beats + 1)
     samples = np.zeros((len(ALL_LEADS), n))
-    for li, lead in enumerate(ALL_LEADS):
+    for sig, lead in zip(samples, ALL_LEADS):
         scale = (amp_scale or {}).get(lead, 1.0)
-        sig = np.zeros(n)
         for center, width, amp in spec.waves.get(lead, []):
-            for k in range(-1, n_beats + 1):
-                mu = (k + center) * period
-                # beyond 40 widths a bump is exp(-800), exactly 0.0 in float64
-                lo, hi = np.searchsorted(t, [mu - 40.0 * width, mu + 40.0 * width])
-                sig[lo:hi] += (amp * scale) * np.exp(-0.5 * ((t[lo:hi] - mu) / width) ** 2)
-        if spec.wander_amp:
-            sig = sig + spec.wander_amp * np.sin(
-                2.0 * np.pi * spec.wander_freq * t + wander_phase)
-        samples[li] = sig
+            mu = (beats + center) * period
+            # beyond 40 widths a bump is exp(-800), exactly 0.0 in float64
+            lo = np.searchsorted(t, mu - 40.0 * width)
+            hi = np.searchsorted(t, mu + 40.0 * width)
+            # row k: the times from t[lo[k]] on, padded to the widest window;
+            # worked in place, as a new block per step made 1000 Hz 17% slower
+            z = (lo[:, None] + np.arange((hi - lo).max())) / fs
+            with np.errstate(over="ignore"):    # only padding past a narrow window
+                z -= mu[:, None]
+                z /= width
+                np.square(z, out=z)
+            z *= -0.5
+            np.exp(z, out=z)
+            z *= amp * scale
+            for a, b, bump in zip(lo.tolist(), hi.tolist(), z):
+                sig[a:b] += bump[:b - a]
+    if spec.wander_amp:
+        samples += spec.wander_amp * np.sin(2.0 * np.pi * spec.wander_freq * t + wander_phase)
     if spec.noise_sigma > 0:
         samples = samples + rng.normal(0.0, spec.noise_sigma, size=samples.shape)
     labels = DiagnosticLabels(likelihoods={spec.class_name: 100.0},

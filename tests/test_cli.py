@@ -672,6 +672,19 @@ def _cleaned_hea_missing(stage):
                                   key: value}]), 2, id=f"class-specs-{key}-{value}")
       for key, value in (("noise_sigma", "x"), ("noise_sigma", -1), ("wander_amp", "x"),
                          ("wander_freq", float("nan")))],
+    *[pytest.param(_class_specs([{"class_name": "A", "waves": waves, "hr_range": [60, 80]}]),
+                   2, id=f"class-specs-wave-{name}")
+      for name, waves in (("string-field", {"I": [[0.15, 0.025, "x"]]}),
+                          ("nan-center", {"I": [[float("nan"), 0.025, 0.1]]}),
+                          ("inf-width", {"I": [[0.15, float("inf"), 0.1]]}),
+                          ("bool-amplitude", {"I": [[0.15, 0.025, True]]}),
+                          ("unknown-lead", {"V7": [[0.15, 0.025, 0.1]]}))],
+    *[pytest.param(_class_specs([{"class_name": name, "waves": {}, "hr_range": [60, 80]}]),
+                   2, id=f"class-specs-name-{label}")
+      for label, name in (("path", "../../evil"), ("comma", "A,B"), ("empty", ""),
+                          ("number", 5))],
+    pytest.param(_class_specs([{"class_name": "NORM", "waves": {}, "hr_range": [60, 80]}] * 2),
+                 2, id="class-specs-name-repeated"),
     pytest.param(_corpus_byte("records/*.hea"), 4, id="corpus-hea-not-utf8"),
     pytest.param(_corpus_byte("database.csv"), 4, id="database-csv-not-utf8"),
     pytest.param(_cleaned_hea_missing("split"), 4, id="cleaned-hea-missing-split"),

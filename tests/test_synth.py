@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,10 +61,44 @@ def _whole_record(spec, duration, fs, seed):
     return samples + rng.normal(0.0, spec.noise_sigma, size=samples.shape)
 
 
-@pytest.mark.parametrize("spec", builtin_class_specs(), ids=lambda s: s.class_name)
-def test_bumps_rendered_locally_match_whole_record(spec):
-    rec = generate_record(spec, 30.0, 100.0, seed=11)
-    np.testing.assert_array_equal(rec.samples, _whole_record(spec, 30.0, 100.0, 11))
+_NORM = builtin_class_specs()[0]
+# per-lead widths, an R wave twice as wide on V2 as on I, and V1 with no waves
+_CUSTOM = SynthClassSpec("CUSTOM", {"I": [(0.15, 0.02, 0.1), (0.3, 0.01, 1.0)],
+                                    "V1": [],
+                                    "V2": [(0.3, 0.02, -0.6), (0.55, 0.08, 0.3)],
+                                    "V5": [(0.3, 0.004, 0.9)]},
+                         hr_range=(100.0, 100.0), noise_sigma=0.0, wander_amp=0.0)
+
+
+@pytest.mark.parametrize("spec, duration, fs", [
+    *[pytest.param(spec, 30.0, 100.0, id=spec.class_name) for spec in builtin_class_specs()],
+    pytest.param(_NORM, 10.0, 500.0, id="NORM-500hz"),
+    pytest.param(_NORM, 10.0, 1000.0, id="NORM-1000hz"),
+    pytest.param(_NORM, 0.01, 100.0, id="NORM-one-sample"),
+    pytest.param(_NORM, 0.5, 100.0, id="NORM-shorter-than-a-beat"),
+    pytest.param(_NORM, 40.0, 100.0, id="NORM-40s"),
+    pytest.param(_CUSTOM, 10.0, 100.0, id="CUSTOM"),
+    pytest.param(_CUSTOM, 10.0, 1000.0, id="CUSTOM-1000hz"),
+    pytest.param(dataclasses.replace(_NORM, wander_amp=0.0), 10.0, 100.0, id="NORM-no-wander"),
+    pytest.param(dataclasses.replace(_NORM, noise_sigma=0.0), 10.0, 100.0, id="NORM-no-noise"),
+])
+def test_bumps_rendered_locally_match_whole_record(spec, duration, fs):
+    rec = generate_record(spec, duration, fs, seed=11)
+    np.testing.assert_array_equal(rec.samples, _whole_record(spec, duration, fs, 11))
+
+
+def test_narrow_wave_pads_its_block_without_overflow_warning():
+    # the bump covers only the sample at its center, and only beat 0's center
+    # (t = 0) is that exact; padding the other beats' empty windows to one
+    # sample squares past the float range
+    spec = SynthClassSpec("NARROW", {"I": [(0.0, 1e-300, 1.0)]}, hr_range=(60.0, 60.0),
+                          noise_sigma=0.0, wander_amp=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = generate_record(spec, 3.0, 100.0, seed=0)
+    expect = np.zeros(300)
+    expect[0] = 1.0
+    np.testing.assert_array_equal(rec.lead("I"), expect)
 
 
 def test_disjoint_qrs_amplitudes_separate_classes():
