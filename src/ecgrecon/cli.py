@@ -26,20 +26,20 @@ import numpy as np
 from . import __version__
 from . import dsp
 from .contrastive import PretrainConfig, embed_all, pretrain, save_pretrained
-from .dataset import (TARGET_LEADS, Segments, apply_qc, fit_qc_bounds,
+from .dataset import (TARGET_LEADS, Segments, apply_qc, chunked, fit_qc_bounds,
                       load_segments, load_vectors, save_segments, save_vectors,
                       segment_record, segment_record_nonoverlap, segment_stats,
                       split_by_fold)
 from .errors import (ConfigError, DataError, DependencyError, PipelineError,
                      json_field, read_json, read_text)
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
-                         evaluate_model, knn_affinity)
+                         evaluate_model, knn_affinity, rmse)
 from .nn import load_checkpoint
 from .reconstruction import (NormStats, TrainConfig, normalize_x,
                              reconstruct_record, save_decoders, train_decoders)
 from .synth import builtin_class_specs, generate_corpus, load_class_specs
-from .wfdb_io import (SignalRecord, load_record, parse_ptbxl_metadata,
-                      write_record)
+from .wfdb_io import (DiagnosticLabels, SignalRecord, load_record,
+                      parse_ptbxl_metadata, write_record)
 
 
 def _now():
@@ -229,7 +229,11 @@ def cmd_synth(args, out, settings):
     rec_dir = out / "records"
     rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
     for rec in records:
-        write_record(rec, rec_dir)
+        try:
+            write_record(rec, rec_dir)
+        except ValueError as exc:   # samples beyond the int16 writer's range
+            (name,) = rec.labels.likelihoods
+            raise ConfigError(f"class spec {name!r} is too tall to write: {exc}") from None
         codes = repr({c: float(v) for c, v in rec.labels.likelihoods.items()})
         rows.append(f'{rec.record_id},{rec.patient_id},"{codes}",'
                     f'{rec.fold},records/{rec.record_id}')
@@ -292,7 +296,6 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
     """Cleaned records in index order; only those in `record_ids` if given.
     An index entry that is not an object, lacks a field, or holds one of
     the wrong type or a fold outside 1-10, is a DataError."""
-    from .wfdb_io import DiagnosticLabels
     pre = Path(preprocessed_dir)
     require_manifest(pre)
     index_path = pre / "records_index.json"
@@ -449,7 +452,6 @@ def cmd_reconstruct(args, out, settings):
     if not records:
         raise DataError("no test records to reconstruct")
     rec_dir = out / "records"
-    from .evaluation import rmse as _rmse
     sidecar = {}
     for rec in records:
         recon = reconstruct_record(rec, encoder, decoders, stats,
@@ -461,7 +463,7 @@ def cmd_reconstruct(args, out, settings):
         write_record(out_rec, rec_dir)
         truth = np.stack([rec.lead(l) for l in TARGET_LEADS])
         sidecar[rec.record_id] = {
-            lead: _rmse(recon[i], truth[i]) for i, lead in enumerate(TARGET_LEADS)}
+            lead: rmse(recon[i], truth[i]) for i, lead in enumerate(TARGET_LEADS)}
     (out / "reconstruction_metrics.json").write_text(json.dumps(sidecar, indent=1))
     return ({"n_records": len(records)}, f"reconstruct: wrote "
             f"{len(records)} records to {Path(args.out) / 'records'}")
@@ -512,7 +514,7 @@ def cmd_affinity(args, out, settings):
     segments = segments[single]
     labels = [next(iter(l)) for l in segments.labels]
     h_aff = knn_affinity(h[single], labels, k=k)
-    x_flat = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
+    x_flat = np.concatenate([normalize_x(x)[0] for x in chunked(segments.x)])
     x_aff = knn_affinity(x_flat.reshape(len(segments), -1), labels, k=k)
     (out / "affinity_h.csv").write_text(h_aff.to_csv())
     (out / "affinity_x.csv").write_text(x_aff.to_csv())

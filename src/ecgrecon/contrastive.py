@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .dataset import chunked
 from .dsp import detect_r_peaks
 from .errors import ConfigError, DataError
 from .nn import Encoder, ProjectionHead, save_checkpoint
@@ -204,8 +205,8 @@ def embed_all(segments, encoder):
     """Project segments through the encoder trunk into h [N, 128]."""
     if not len(segments):
         return np.zeros((0, Encoder.EMBED_DIM), dtype=np.float32)
-    return np.concatenate([encoder(Tensor(np.ascontiguousarray(c.x))).data
-                           for c in segments.chunks()])
+    return np.concatenate([encoder(Tensor(np.ascontiguousarray(x))).data
+                           for x in chunked(segments.x)])
 
 
 def save_pretrained(out_dir, encoder, head, history):

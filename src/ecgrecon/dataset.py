@@ -25,7 +25,7 @@ CHUNK = 256   # windows per step wherever a whole store is processed
 
 SEGSTORE_FORMAT = "ecgrecon-segstore-v1"
 VECSTORE_FORMAT = "ecgrecon-vecstore-v1"
-_ARRAY_FIELDS = ("x", "y", "record_id", "start", "fold")   # of Segments; plus labels
+_FIELDS = ("w", "record_id", "start", "fold", "labels")   # of Segments
 
 
 @dataclass
@@ -33,49 +33,53 @@ class Segments:
     """A batch of windows: row i of every field describes window i. An int,
     slice, integer array or boolean mask selects a `Segments`."""
 
-    x: np.ndarray            # [N, 3, T] mV: I, II, V2
-    y: np.ndarray            # [N, 5, T] mV: V1, V3, V4, V5, V6
+    w: np.ndarray            # [N, 8, T] mV, leads in ALL_LEADS order
     record_id: np.ndarray    # [N] str
     start: np.ndarray        # [N] int, offset of the window in its record
     fold: np.ndarray         # [N] int
-    labels: list             # [N] frozensets: high-confidence codes of the source record
+    labels: np.ndarray       # [N] frozensets: high-confidence codes of the source record
     __iter__ = None          # windows are handled as arrays, never one at a time
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float32)
-        self.y = np.asarray(self.y, dtype=np.float32)
+        self.w = np.asarray(self.w, dtype=np.float32)
         self.record_id = np.asarray(self.record_id, dtype=str)
         self.start = np.asarray(self.start, dtype=np.int64)
         self.fold = np.asarray(self.fold, dtype=np.int64)
-        finite = (np.isfinite(self.x).all(axis=(1, 2))
-                  & np.isfinite(self.y).all(axis=(1, 2)))
+        self.labels = np.asarray(self.labels, dtype=object)
+        finite = np.isfinite(self.w).all(axis=(1, 2))
         if not finite.all():
             i = int(np.argmin(finite))
             raise DataError(f"non-finite segment from {self.record_id[i]}@{self.start[i]}")
 
+    @property
+    def x(self):
+        """[N, 3, T] view of `w`: I, II, V2."""
+        return self.w[:, :len(INPUT_LEADS)]
+
+    @property
+    def y(self):
+        """[N, 5, T] view of `w`: V1, V3, V4, V5, V6."""
+        return self.w[:, len(INPUT_LEADS):]
+
     def __len__(self):
-        return len(self.x)
+        return len(self.w)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             key = [key]
-        rows = np.arange(len(self))[key]
-        return Segments(**{f: getattr(self, f)[key] for f in _ARRAY_FIELDS},
-                        labels=[self.labels[i] for i in rows])
-
-    def chunks(self):
-        """Consecutive slices of at most CHUNK windows."""
-        for lo in range(0, len(self), CHUNK):
-            yield self[lo:lo + CHUNK]
+        return Segments(**{f: getattr(self, f)[key] for f in _FIELDS})
 
     @classmethod
     def concat(cls, parts):
-        # an empty batch first, so that no parts still gives [0, 3, T] windows
-        parts = [cls(np.zeros((0, len(INPUT_LEADS), WINDOW)),
-                     np.zeros((0, len(TARGET_LEADS), WINDOW)), [], [], [], []), *parts]
-        return cls(**{f: np.concatenate([getattr(p, f) for p in parts])
-                      for f in _ARRAY_FIELDS},
-                   labels=[l for p in parts for l in p.labels])
+        # an empty batch first, so that no parts still gives [0, 8, T] windows
+        parts = [cls(np.empty((0, len(ALL_LEADS), WINDOW), np.float32), [], [], [], []),
+                 *parts]
+        return cls(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS})
+
+
+def chunked(array):
+    """Consecutive row slices of `array`, views of at most CHUNK rows each."""
+    return (array[lo:lo + CHUNK] for lo in range(0, len(array), CHUNK))
 
 
 @dataclass
@@ -100,7 +104,7 @@ class QcBounds:
                    rms_lo=np.asarray(d["rms_lo"]), rms_hi=np.asarray(d["rms_hi"]))
 
 
-def _extract(rec, offsets, t):
+def _extract(rec, offsets):
     if rec.fs != 100:
         raise DataError(f"record {rec.record_id} not at 100 Hz (fs={rec.fs})")
     missing = [l for l in ALL_LEADS if l not in rec.lead_names]
@@ -108,26 +112,25 @@ def _extract(rec, offsets, t):
         raise DataError(f"record {rec.record_id} missing leads {missing}")
     rows = np.array([rec.lead_names.index(l) for l in ALL_LEADS])
     offsets = np.asarray(offsets, dtype=np.int64)
-    win = rec.samples[rows[None, :, None], offsets[:, None, None] + np.arange(t)]
-    n, n_in = len(offsets), len(INPUT_LEADS)
+    win = rec.samples[rows[None, :, None], offsets[:, None, None] + np.arange(WINDOW)]
+    n = len(offsets)
     fold = rec.fold if rec.fold is not None else 0
-    return Segments(x=win[:, :n_in], y=win[:, n_in:], record_id=[rec.record_id] * n,
-                    start=offsets, fold=[fold] * n,
+    return Segments(w=win, record_id=[rec.record_id] * n, start=offsets, fold=[fold] * n,
                     labels=[frozenset(rec.labels.high_confidence())] * n)
 
 
-def segment_record(rec, t=WINDOW, hop=HOP):
-    """Overlapping training windows at offsets 0, hop, 2*hop, ..."""
-    return _extract(rec, range(0, rec.n_samples - t + 1, hop), t)
+def segment_record(rec):
+    """Overlapping training windows at offsets 0, HOP, 2*HOP, ..."""
+    return _extract(rec, range(0, rec.n_samples - WINDOW + 1, HOP))
 
 
-def segment_record_nonoverlap(rec, t=WINDOW):
+def segment_record_nonoverlap(rec):
     """Non-overlapping tiling plus one final right-aligned window."""
     n = rec.n_samples
-    offsets = list(range(0, n - t + 1, t))
-    if offsets and offsets[-1] != n - t:
-        offsets.append(n - t)
-    return _extract(rec, offsets, t)
+    offsets = list(range(0, n - WINDOW + 1, WINDOW))
+    if offsets and offsets[-1] != n - WINDOW:
+        offsets.append(n - WINDOW)
+    return _extract(rec, offsets)
 
 
 def segment_stats(segments):
@@ -135,11 +138,10 @@ def segment_stats(segments):
     each [N, 8]."""
     ptp = np.empty((len(segments), len(ALL_LEADS)))
     rms = np.empty_like(ptp)
-    for lo in range(0, len(segments), CHUNK):
-        chunk = segments[lo:lo + CHUNK]
-        full = np.concatenate([chunk.x, chunk.y], axis=1).astype(np.float64)
-        ptp[lo:lo + CHUNK] = full.max(axis=-1) - full.min(axis=-1)
-        rms[lo:lo + CHUNK] = np.sqrt(np.mean(full * full, axis=-1))
+    for w, p, r in zip(chunked(segments.w), chunked(ptp), chunked(rms)):
+        w = w.astype(np.float64)
+        p[:] = w.max(axis=-1) - w.min(axis=-1)
+        r[:] = np.sqrt(np.mean(w * w, axis=-1))
     return ptp, rms
 
 
@@ -227,7 +229,7 @@ def _read_store(path_prefix, fmt, what, shape_of):
 
 
 def save_segments(path_prefix, segments, qc_provenance=None):
-    """Segment store; per segment, x rows then y rows."""
+    """Segment store; its blob is `segments.w`, [N, 8, T] in ALL_LEADS order."""
     manifest = {
         "format": SEGSTORE_FORMAT,
         "n_segments": len(segments),
@@ -240,25 +242,29 @@ def save_segments(path_prefix, segments, qc_provenance=None):
                                            segments.fold.tolist(), segments.labels)],
         "qc": qc_provenance or {},
     }
-    _write_store(path_prefix, manifest, np.concatenate([segments.x, segments.y], axis=1))
+    _write_store(path_prefix, manifest, segments.w)
 
 
 def load_segments(path_prefix):
-    """Read a segment store; x and y are views of its one [N, 8, T] blob."""
+    """Read a segment store; its `w` is a read-only view of the store's blob.
+    A store of other lead roles or another window length is a DataError."""
     where = f"{path_prefix}.manifest.json"
     manifest, data = _read_store(
         path_prefix, SEGSTORE_FORMAT, "segment",
         lambda m: (json_field(m, "n_segments", int, where), len(ALL_LEADS),
                    json_field(m, "window", int, where)))
+    for key, want in (("window", WINDOW), ("input_leads", list(INPUT_LEADS)),
+                      ("target_leads", list(TARGET_LEADS))):
+        if manifest.get(key) != want:
+            raise DataError(f"{where}: {key!r} is {manifest.get(key)!r}, not {want!r}")
     meta = json_field(manifest, "segments", list, where)
     if len(meta) != len(data):
         raise DataError(f"{path_prefix}: {len(meta)} segment entries for "
                         f"n_segments={len(data)}")
-    n_in = len(json_field(manifest, "input_leads", list, where))
     entries = [_segment_entry(m, f"{where} segments[{i}]") for i, m in enumerate(meta)]
-    segments = Segments(x=data[:, :n_in], y=data[:, n_in:],
-                        record_id=[e[0] for e in entries], start=[e[1] for e in entries],
-                        fold=[e[2] for e in entries], labels=[e[3] for e in entries])
+    segments = Segments(w=data, record_id=[e[0] for e in entries],
+                        start=[e[1] for e in entries], fold=[e[2] for e in entries],
+                        labels=[e[3] for e in entries])
     return segments, manifest
 
 

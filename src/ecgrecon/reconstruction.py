@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .dataset import CHUNK, TARGET_LEADS, segment_record_nonoverlap
+from .dataset import TARGET_LEADS, chunked, segment_record_nonoverlap
 from .errors import ConfigError, DataError
 from .nn import (Encoder, LeadDecoder, get_parameter_vector, save_checkpoint,
                  set_parameter_vector)
@@ -64,8 +64,8 @@ def target_lead_stats(segments):
         raise DataError("target stats need at least one segment")
 
     def total(f):
-        return np.concatenate([f(c.y.astype(np.float64)).sum(axis=2)
-                               for c in segments.chunks()]).sum(axis=0)
+        return np.concatenate([f(y.astype(np.float64)).sum(axis=2)
+                               for y in chunked(segments.y)]).sum(axis=0)
 
     count = len(segments) * segments.y.shape[2]
     mu = total(lambda y: y) / count
@@ -112,7 +112,7 @@ class TrainResult:
 def _prep_arrays(segments, embeddings, stats, conditioned):
     """(x_hat, h_hat, y_hat [N, 5, T]) of a store, float32; the targets are
     z-scored one lead at a time, so no float64 copy of the store is made."""
-    xs = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
+    xs = np.concatenate([normalize_x(x)[0] for x in chunked(segments.x)])
     ys = np.empty(segments.y.shape, dtype=np.float32)
     for li in range(len(TARGET_LEADS)):
         ys[:, li] = ((segments.y[:, li].astype(np.float64) - stats.y_mu[li])
@@ -148,11 +148,9 @@ def train_decoders(train_segments, val_segments, train_embeddings, val_embedding
 
     def val_loss(model, vys):
         total = 0.0
-        for lo in range(0, len(vxs), CHUNK):
-            rows = slice(lo, lo + CHUNK)
-            loss = recon_loss(model(Tensor(vxs[rows]), Tensor(vhs[rows])),
-                              Tensor(vys[rows]))
-            total += loss.item() * len(vxs[rows])
+        for x, h, y in zip(chunked(vxs), chunked(vhs), chunked(vys)):
+            loss = recon_loss(model(Tensor(x), Tensor(h)), Tensor(y))
+            total += loss.item() * len(x)
         return total / len(vxs)
 
     results = {}
@@ -236,20 +234,17 @@ class NormStats:
 
 def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True):
     """Decode a batch of segments; returns [N, 5, T] in mV."""
-    out = np.zeros((len(segments), len(TARGET_LEADS), segments.x.shape[2]))
-    for lo in range(0, len(segments), CHUNK):
-        chunk = segments[lo:lo + CHUNK]
-        xs = normalize_x(chunk.x)[0]
+    out = np.zeros((len(segments), len(TARGET_LEADS), segments.w.shape[2]))
+    for x, o in zip(chunked(segments.x), chunked(out)):
         if conditioned:
-            h = encoder(Tensor(np.ascontiguousarray(chunk.x))).data
+            h = encoder(Tensor(np.ascontiguousarray(x))).data
             hh = normalize_h(h, stats.h_mu, stats.h_sigma)
         else:
-            hh = np.zeros((len(chunk), Encoder.EMBED_DIM), dtype=np.float32)
-        xb, hb = Tensor(xs), Tensor(hh)
+            hh = np.zeros((len(x), Encoder.EMBED_DIM), dtype=np.float32)
+        xb, hb = Tensor(normalize_x(x)[0]), Tensor(hh)
         for li, lead in enumerate(TARGET_LEADS):
-            y_hat = decoders[lead](xb, hb).data
-            out[lo:lo + len(chunk), li] = denormalize_y(
-                y_hat, stats.y_mu[li], stats.y_sigma[li])
+            o[:, li] = denormalize_y(decoders[lead](xb, hb).data,
+                                     stats.y_mu[li], stats.y_sigma[li])
     return out
 
 

@@ -204,7 +204,8 @@ def write_signals(rec):
     Inverse of read_signals for representable values: raw = round(mV * WRITE_GAIN),
     with baseline 0.
     """
-    raw = np.round(rec.samples * WRITE_GAIN)
+    with np.errstate(over="ignore"):    # a product past float64 is refused below
+        raw = np.round(rec.samples * WRITE_GAIN)
     if raw.min() < -32768 or raw.max() > 32767:
         raise ValueError(f"{rec.record_id}: samples exceed int16 range at given gain")
     raw = raw.astype("<i2").T  # sample-interleaved

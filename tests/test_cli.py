@@ -500,6 +500,20 @@ def test_bad_checkpoint_extra_exit_4(pipeline, tmp_path, capsys, edit):
     pytest.param("embed", "split/segments_train.manifest.json",
                  lambda manifest: manifest["segments"].__setitem__(0, 5),
                  id="segment-store-entry"),
+    pytest.param("embed", "split/segments_train.manifest.json",
+                 lambda manifest: manifest.update(input_leads=["I", "II"]),
+                 id="segment-store-input-leads-short"),
+    pytest.param("embed", "split/segments_train.manifest.json",
+                 lambda manifest: manifest.update(input_leads=["I", "II", "V3"]),
+                 id="segment-store-input-leads-relabelled"),
+    pytest.param("embed", "split/segments_train.manifest.json",
+                 lambda manifest: manifest["target_leads"].reverse(),
+                 id="segment-store-target-leads-reordered"),
+    pytest.param("embed", "split/segments_train.manifest.json",
+                 lambda manifest: manifest.update(window=128,
+                                                  n_segments=2 * manifest["n_segments"],
+                                                  segments=2 * manifest["segments"]),
+                 id="segment-store-window-128"),
     pytest.param("train", "embed/embeddings_train.manifest.json",
                  lambda manifest: manifest.update(shape="x"), id="vector-store-shape"),
 ])
@@ -626,8 +640,9 @@ def _config(stage, config):
     return make
 
 
-def _class_specs(specs):
-    return lambda d, tmp: ["synth", "--class-specs", _write(tmp / "specs.json", specs)]
+def _class_specs(specs, extra=()):
+    return lambda d, tmp: ["synth", "--class-specs", _write(tmp / "specs.json", specs),
+                           *extra]
 
 
 def _corpus_byte(pattern):
@@ -685,6 +700,11 @@ def _cleaned_hea_missing(stage):
                           ("number", 5))],
     pytest.param(_class_specs([{"class_name": "NORM", "waves": {}, "hr_range": [60, 80]}] * 2),
                  2, id="class-specs-name-repeated"),
+    *[pytest.param(_class_specs([{"class_name": "A", "waves": {"I": [[0.3, 0.01, amplitude]]},
+                                  "hr_range": [60, 80]}], SYNTH_1X1[2:]), 2,
+                   id=f"class-specs-too-tall-{amplitude:g}",
+                   marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+      for amplitude in (1000, 1e308)],
     pytest.param(_corpus_byte("records/*.hea"), 4, id="corpus-hea-not-utf8"),
     pytest.param(_corpus_byte("database.csv"), 4, id="database-csv-not-utf8"),
     pytest.param(_cleaned_hea_missing("split"), 4, id="cleaned-hea-missing-split"),

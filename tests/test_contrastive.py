@@ -160,7 +160,7 @@ def test_pretrain_single_class_bounded_by_uniform_floor():
 
 def test_pretrain_requires_labels():
     segs = _mini_segments()[:10]
-    unlabeled = Segments(x=segs.x, y=segs.y, record_id=segs.record_id,
+    unlabeled = Segments(w=segs.w, record_id=segs.record_id,
                          start=segs.start, fold=segs.fold,
                          labels=[frozenset()] * len(segs))
     with pytest.raises(DataError, match="high-confidence"):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ecgrecon.dataset import (ALL_LEADS, QcBounds, Segments, apply_qc,
+from ecgrecon.dataset import (ALL_LEADS, CHUNK, QcBounds, Segments, apply_qc, chunked,
                               fit_qc_bounds, load_segments, load_vectors,
                               save_segments, save_vectors, segment_record,
                               segment_record_nonoverlap, segment_stats,
@@ -101,7 +103,7 @@ def test_record_missing_lead_rejected():
 def _windows(full):
     # a batch from [N, 8, T] lead data, in canonical lead order
     n = len(full)
-    return Segments(x=full[:, :3], y=full[:, 3:], record_id=["r"] * n,
+    return Segments(w=full, record_id=["r"] * n,
                     start=[0] * n, fold=[1] * n, labels=[frozenset()] * n)
 
 
@@ -213,7 +215,29 @@ def test_segment_store_round_trip(tmp_path):
     for a, b in ((loaded.record_id, segs.record_id), (loaded.start, segs.start),
                  (loaded.fold, segs.fold)):
         assert a.tolist() == b.tolist()
-    assert loaded.labels == segs.labels
+    assert loaded.labels.tolist() == segs.labels.tolist()
+    assert np.shares_memory(loaded.x, loaded.w) and np.shares_memory(loaded.y, loaded.w)
+
+
+def test_save_segments_writes_the_windows_without_a_copy(tmp_path):
+    segs = _windows(np.random.default_rng(0).normal(size=(1024, 8, 256)))
+    tracemalloc.start()
+    try:
+        save_segments(tmp_path / "store", segs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the blob is written from the window array itself, not from a joined copy
+    assert peak < segs.w.nbytes / 2
+
+
+def test_chunked_yields_views_of_at_most_chunk_rows():
+    rows = np.arange(600)
+    parts = list(chunked(rows))
+    assert [len(p) for p in parts] == [CHUNK, CHUNK, 600 - 2 * CHUNK]
+    assert all(np.shares_memory(p, rows) for p in parts)
+    np.testing.assert_array_equal(np.concatenate(parts), rows)
+    assert list(chunked(rows[:0])) == []
 
 
 def test_segment_store_missing_errors(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ecgrecon import tensor as T
-from ecgrecon.dataset import ALL_LEADS, CHUNK, TARGET_LEADS, Segments, segment_record
+from ecgrecon.dataset import (ALL_LEADS, CHUNK, TARGET_LEADS, Segments, chunked,
+                              segment_record)
 from ecgrecon.errors import DataError
 from ecgrecon.nn import LeadDecoder, get_parameter_vector, set_parameter_vector
 from ecgrecon.optim import AdamW
@@ -154,7 +155,7 @@ def _reference_train_decoder(lead, train_segments, val_segments, train_embedding
     the per-lead training loop that `train_decoders` replaced."""
     def prep(segments, embeddings):
         li = TARGET_LEADS.index(lead)
-        xs = np.concatenate([normalize_x(c.x)[0] for c in segments.chunks()])
+        xs = np.concatenate([normalize_x(x)[0] for x in chunked(segments.x)])
         ys = segments.y[:, li].astype(np.float64)
         ys = ((ys - stats.y_mu[li]) / (stats.y_sigma[li] + EPS)).astype(np.float32)
         if config.conditioned:
@@ -344,7 +345,7 @@ def test_target_lead_stats_match_whole_store_float64():
     # 600 windows span three chunks; the result is bit-equal to the
     # statistics of one float64 copy of the whole store
     full = np.random.default_rng(3).normal(0.1, 0.4, size=(600, 8, 256))
-    segs = Segments(x=full[:, :3], y=full[:, 3:], record_id=["r"] * 600,
+    segs = Segments(w=full, record_id=["r"] * 600,
                     start=np.zeros(600), fold=np.ones(600),
                     labels=[frozenset()] * 600)
     mu, sigma = target_lead_stats(segs)
