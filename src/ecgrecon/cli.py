@@ -327,31 +327,29 @@ def cmd_split(args, out, settings):
     if not lo_pct < hi_pct <= 100:
         raise ConfigError(f"need 0 <= lo_pct < hi_pct <= 100, got lo_pct={lo_pct}, "
                           f"hi_pct={hi_pct}")
-    records = _load_cleaned_records(args.data)
-    splits = split_by_fold(records)
-    windows = {"train": Segments.concat(segment_record(r) for r in splits["train"]),
-               "val": Segments.concat(segment_record(r) for r in splits["val"]),
-               "test": Segments.concat(segment_record_nonoverlap(r)
-                                       for r in splits["test"])}
-    if not len(windows["train"]):
-        raise DataError("no training segments")
-    stats = {name: segment_stats(segs) for name, segs in windows.items()}
-    bounds = fit_qc_bounds(stats["train"], lo_pct=lo_pct, hi_pct=hi_pct)
-    provenance = {"fit_on": "train", "bounds": bounds.to_dict()}
-    kept = {}
-    rejected_counts = {}
-    for name, segs in windows.items():
-        ok, bad = apply_qc(segs, stats[name], bounds)
-        kept[name] = ok
-        rejected_counts[name] = len(bad)
-        save_segments(out / f"segments_{name}", ok, qc_provenance=provenance)
+    splits = split_by_fold(_load_cleaned_records(args.data))
+    record_ids = {name: [r.record_id for r in recs] for name, recs in splits.items()}
+    # one split at a time, train first (it fits the QC bounds): each split's
+    # records die once windowed, and its windows once written
+    kept, rejected = {}, {}
+    for name in ("train", "val", "test"):
+        segment = segment_record_nonoverlap if name == "test" else segment_record
+        segs = Segments.concat(segment(r) for r in splits.pop(name))
+        stats = segment_stats(segs)
+        if name == "train":
+            if not len(segs):
+                raise DataError("no training segments")
+            bounds = fit_qc_bounds(stats, lo_pct=lo_pct, hi_pct=hi_pct)
+            provenance = {"fit_on": "train", "bounds": bounds.to_dict()}
+        segs, bad = apply_qc(segs, stats, bounds)
+        save_segments(out / f"segments_{name}", segs, qc_provenance=provenance)
+        kept[name], rejected[name] = len(segs), len(bad)
+        del segs
     (out / "splits.json").write_text(json.dumps({
         "preprocessed_dir": str(Path(args.data).resolve()),
-        "records": {name: [r.record_id for r in recs]
-                    for name, recs in splits.items()},
-        "rejected": rejected_counts}))
-    return ({"kept": {k: len(v) for k, v in kept.items()}, "rejected": rejected_counts},
-            "split: kept " + ", ".join(f"{k}={len(v)}" for k, v in kept.items()))
+        "records": record_ids, "rejected": rejected}))
+    return ({"kept": kept, "rejected": rejected},
+            "split: kept " + ", ".join(f"{k}={n}" for k, n in kept.items()))
 
 
 def cmd_pretrain(args, out, settings):

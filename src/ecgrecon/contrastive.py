@@ -162,10 +162,7 @@ def pretrain(segments, config, log=None):
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
 
     # r-peaks per segment, computed once on lead II (row 1 of x)
-    try:
-        peak_cache = dict(zip(usable, detect_r_peaks(segments.x[usable, 1], fs=100.0)))
-    except ValueError:
-        peak_cache = {i: [] for i in usable}
+    peak_cache = dict(zip(usable, detect_r_peaks(segments.x[usable, 1], fs=100.0)))
 
     history = []
     order = np.arange(len(usable))

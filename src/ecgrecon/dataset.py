@@ -141,7 +141,7 @@ def segment_stats(segments):
     for w, p, r in zip(chunked(segments.w), chunked(ptp), chunked(rms)):
         w = w.astype(np.float64)
         p[:] = w.max(axis=-1) - w.min(axis=-1)
-        r[:] = np.sqrt(np.mean(w * w, axis=-1))
+        r[:] = np.sqrt(np.mean(np.square(w, out=w), axis=-1))
     return ptp, rms
 
 

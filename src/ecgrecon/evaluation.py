@@ -105,15 +105,12 @@ def knn_affinity(vectors, labels, k=10):
     nbr = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     lab_arr = np.array([cls_index[l] for l in labels])
     c = len(classes)
+    # each sample's neighbour-class proportions [n, C], summed per class in
+    # sample order
+    rows = (lab_arr[nbr][:, :, None] == np.arange(c)).sum(axis=1) / k
     a = np.zeros((c, c))
-    counts = np.zeros(c)
-    for i in range(n):
-        row = np.bincount(lab_arr[nbr[i]], minlength=c) / k
-        a[lab_arr[i]] += row
-        counts[lab_arr[i]] += 1
-    if np.any(counts == 0):
-        raise DataError("every class needs at least one sample")
-    return AffinityMatrix(classes=classes, a=a / counts[:, None], k=k)
+    np.add.at(a, lab_arr, rows)
+    return AffinityMatrix(classes=classes, a=a / np.bincount(lab_arr)[:, None], k=k)
 
 
 def diagonal_consistency(affinity):
@@ -175,12 +172,13 @@ def evaluate_model(records, encoder, decoders, stats, conditioned=True):
     record-level metrics over the full signals reassembled from the same
     window predictions. Each record's windows [n, 5, T], and then its
     reassembled signal [5, n_samples], are scored in one `_row_metrics`
-    pass over every target lead."""
+    pass over every target lead. A record shorter than one window is a
+    DataError."""
     seg, rec_level, by_class = [], [], {}
     for rec in records:
         segments = segment_record_nonoverlap(rec)
         if not len(segments):
-            continue
+            raise DataError(f"record {rec.record_id} shorter than one window")
         preds = reconstruct_segments(segments, encoder, decoders, stats,
                                      conditioned=conditioned)
         scores = _row_metrics(preds, segments.y)

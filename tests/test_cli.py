@@ -1,11 +1,13 @@
 import hashlib
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ecgrecon.cli import main
+from ecgrecon.wfdb_io import load_record, write_record
 
 
 def _sha(path):
@@ -251,6 +253,62 @@ def test_split_computes_segment_stats_once_per_split(pipeline, tmp_path, monkeyp
     monkeypatch.setattr(cli, "segment_stats", counted)
     assert main(["split", "--out", str(tmp_path / "s"), "--data", str(pipeline["pre"])]) == 0
     assert len(calls) == 3
+
+
+def test_split_holds_each_store_once(tmp_path):
+    """On an ingest-shaped corpus (4 classes x 10 patients x 2 records of
+    10 s) split's traced peak stays below 3x the bytes of the training
+    store it writes: about 2.5x when it builds, checks and writes one
+    store at a time, about 3.5x when every split's windows, pre- and
+    post-QC, are held until the end."""
+    raw, pre, split = tmp_path / "raw", tmp_path / "pre", tmp_path / "split"
+    assert main(["synth", "--out", str(raw), "--classes", "4", "--patients", "10",
+                 "--records", "2", "--duration", "10", "--seed", "0"]) == 0
+    assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["split", "--out", str(split), "--data", str(pre)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * (split / "segments_train.f32").stat().st_size
+
+
+def test_split_without_training_windows_exit_4_before_val_or_test(
+        pipeline, tmp_path, capsys, monkeypatch):
+    import ecgrecon.cli as cli
+    windowed = []
+    for name in ("segment_record", "segment_record_nonoverlap"):
+        monkeypatch.setattr(cli, name, lambda rec: windowed.append(rec.record_id))
+    pre = tmp_path / "pre"
+    shutil.copytree(pipeline["pre"], pre)
+    _edit_json(pre / "records_index.json",
+               lambda index: index.__setitem__(slice(None), [e for e in index
+                                                             if e["fold"] > 8]))
+    out = tmp_path / "o"
+    assert main(["split", "--out", str(out), "--data", str(pre)]) == 4
+    assert capsys.readouterr().err == "error:data: no training segments\n"
+    assert windowed == [] and not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "reconstruct"])
+def test_test_record_shorter_than_one_window_exit_4(pipeline, tmp_path, capsys, stage):
+    d = pipeline
+    pre, split = tmp_path / "pre", tmp_path / "split"
+    shutil.copytree(d["pre"], pre)
+    shutil.copytree(d["split"], split)
+    _edit_json(split / "splits.json", lambda s: s.update(preprocessed_dir=str(pre)))
+    test_id = json.loads((split / "splits.json").read_text())["records"]["test"][0]
+    rec = load_record(pre / "cleaned" / f"{test_id}.hea")
+    rec.samples = rec.samples[:, :200]      # 2 s at 100 Hz, under one 256-sample window
+    write_record(rec, pre / "cleaned")
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(split), "--encoder",
+                 str(d["pretrain"]), "--decoders", str(d["dec"])]) == 4
+    assert capsys.readouterr().err == (f"error:data: record {test_id} shorter than "
+                                       "one window\n")
+    assert not out.exists()
 
 
 SYNTH_1X1 = ["--classes", "1", "--patients", "1", "--records", "1", "--duration", "1"]

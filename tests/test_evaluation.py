@@ -149,6 +149,32 @@ def test_knn_affinity_excludes_self():
     assert mat.a[ci, ci] == 0.0
 
 
+def _affinity_loop(vectors, labels, k):
+    """`knn_affinity`'s matrix summed one sample at a time."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    classes = sorted(set(labels))
+    lab = np.array([classes.index(l) for l in labels])
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
+    nbr = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    a, counts = np.zeros((len(classes), len(classes))), np.zeros(len(classes))
+    for i in range(len(vectors)):
+        a[lab[i]] += np.bincount(lab[nbr[i]], minlength=len(classes)) / k
+        counts[lab[i]] += 1
+    return a / counts[:, None]
+
+
+def test_knn_affinity_equals_per_sample_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n, c, k = int(rng.integers(12, 200)), int(rng.integers(1, 7)), int(rng.integers(1, 11))
+        vecs = rng.normal(size=(n, 6))
+        labels = [f"C{i}" for i in rng.integers(0, c, size=n)]
+        assert np.array_equal(knn_affinity(vecs, labels, k=k).a,
+                              _affinity_loop(vecs, labels, k))
+
+
 def test_knn_affinity_needs_enough_samples():
     rng = np.random.default_rng(5)
     with pytest.raises(DataError):

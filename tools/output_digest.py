@@ -9,11 +9,11 @@ thread: synth (3 classes x 10 patients x 1 record of 6 s, seed 0),
 32 --seed 0`, embed, conditioned and `--clean-only` train (`--epochs 1
 --seed 0` each), evaluate with `--baseline-decoders`, reconstruct and
 `affinity --k 3 --split train`. Prints one JSON object that maps the path
-of every file under DIR, relative to DIR, to its sha256, leaving out each
-stage's `manifest.json` (it holds timestamps and absolute paths). Store
-manifests and checkpoints are kept. `splits.json` holds the absolute path
-of the preprocessed directory, so compare two checkouts with the same DIR.
-A stage that exits non-zero stops the script with exit 1.
+of every file under DIR, relative to DIR, to its sha256. Each stage's
+`manifest.json` is digested with its `started` and `finished` timestamps
+removed. Stage manifests and `splits.json` hold absolute paths under DIR,
+so compare two checkouts with the same DIR. A stage that exits non-zero
+stops the script with exit 1.
 """
 
 from __future__ import annotations
@@ -54,11 +54,19 @@ def recipe(work):
     ]
 
 
+def _content(path, work):
+    """The bytes of `path`; a stage manifest as written, less its timestamps."""
+    if path.relative_to(work).parts[1:] != ("manifest.json",):
+        return path.read_bytes()
+    manifest = json.loads(path.read_text())
+    del manifest["started"], manifest["finished"]
+    return json.dumps(manifest, indent=1).encode()
+
+
 def digest(work):
-    """{path relative to `work`: sha256} of every file but the stage manifests."""
-    return {str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(work.rglob("*"))
-            if path.is_file() and path.relative_to(work).parts[1:] != ("manifest.json",)}
+    """{path relative to `work`: sha256} of every file under `work`."""
+    return {str(path.relative_to(work)): hashlib.sha256(_content(path, work)).hexdigest()
+            for path in sorted(work.rglob("*")) if path.is_file()}
 
 
 def main(argv=None):
