@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -158,6 +159,24 @@ def test_truncated_segment_store_exit_4(pipeline, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("stage, options", [("train", ["--epochs", "1"]),
+                                            ("affinity", ["--split", "train"])])
+def test_embeddings_of_another_split_exit_4(pipeline, tmp_path, capsys, stage, options):
+    """`split` re-run with narrower QC bounds keeps fewer windows; the
+    embeddings of the earlier split no longer pair up with its stores."""
+    d = pipeline
+    split = tmp_path / "split"
+    assert main(["split", "--out", str(split), "--data", str(d["pre"]), "--config",
+                 _write(tmp_path / "c.json", {"split": {"lo_pct": 5, "hi_pct": 95}})]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(split),
+                 "--embeddings", str(d["embed"]), *options]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:data: ") and "embeddings_train holds" in err
+    assert not out.exists()
+
+
 def test_evaluate_missing_decoder_exit_3(pipeline, tmp_path):
     d = pipeline
     dec = tmp_path / "dec"
@@ -273,6 +292,31 @@ def test_split_holds_each_store_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * (split / "segments_train.f32").stat().st_size
+
+
+def test_preprocess_memory_bounded_by_the_chunk(tmp_path):
+    """`preprocess` cleans CLEAN_CHUNK_SAMPLES raw samples (768 KiB of
+    float64) at a time: its traced peak, about 6x those bytes, is the same
+    for 24 and 72 records of 10 s (2 and 6 chunks), give or take a quarter
+    MiB for the longer index. Cleaning the whole corpus as one stack would
+    add about 18 MiB for the 48 more records."""
+    import ecgrecon.cli as cli
+    budget = cli.CLEAN_CHUNK_SAMPLES * 8
+    peaks = []
+    for patients in (6, 18):
+        raw, pre = tmp_path / f"raw{patients}", tmp_path / f"pre{patients}"
+        assert main(["synth", "--out", str(raw), "--classes", "4", "--patients",
+                     str(patients), "--records", "1", "--duration", "10",
+                     "--seed", "0"]) == 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 18
+    assert peaks[1] < 8 * budget
 
 
 def test_split_without_training_windows_exit_4_before_val_or_test(
@@ -669,6 +713,33 @@ def test_rerun_drops_stale_outputs(pipeline, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["inputs"] == [str(d[k]) for k in ("split", "pretrain", "dec")]
     assert [p.name for p in tmp_path.iterdir()] == ["eval"]
+
+
+def test_rerun_never_leaves_a_half_removed_out(pipeline, tmp_path, monkeypatch):
+    """A re-run of `embed` whose removal of the old output fails partway:
+    `--out` still holds one whole output, with every file its manifest
+    lists, and nothing else."""
+    d = pipeline
+    out = tmp_path / "embed"
+    shutil.copytree(d["embed"], out)
+    unlink, unlinked = os.unlink, []
+
+    def failing_unlink(path, *args, **kwargs):
+        unlinked.append(path)
+        if len(unlinked) == 3:
+            raise OSError("injected unlink failure")
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", failing_unlink)
+    main(["embed", "--out", str(out), "--data", str(d["split"]),
+          "--encoder", str(d["pretrain"])])
+    monkeypatch.undo()
+    assert len(unlinked) >= 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"]
+                                                           + ["manifest.json"])
+    for name in ("train", "val", "test"):
+        assert _sha(out / f"embeddings_{name}.f32") == _sha(d["embed"] / f"embeddings_{name}.f32")
 
 
 @pytest.mark.parametrize("manifest", [None, {"command": "preprocess"}],

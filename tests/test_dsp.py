@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from ecgrecon import dsp
+from ecgrecon import cli, dsp
 from ecgrecon.cli import main
 from ecgrecon.dsp import (FilterSpec, bandpass_filter, baseline_remove,
                           clean_signal, design_bandpass, detect_r_peaks,
@@ -80,17 +82,31 @@ def test_design_bandpass_returns_callers_own_copy():
     np.testing.assert_array_equal(design_bandpass(100.0)[0], want)
 
 
-def _mixed_rate_corpus(root):
-    """A PTB-XL-layout corpus of 10 s records: R0, R1 at 100 Hz, R2, R3 at 500 Hz."""
+def _mixed_rate_corpus(root, layout=((100.0, 10.0),) * 2 + ((500.0, 10.0),) * 2):
+    """A PTB-XL-layout corpus with one record R<i> per (fs, seconds) of
+    `layout`, in that order; by default R0, R1 at 100 Hz and R2, R3 at
+    500 Hz, all of 10 s."""
     spec = builtin_class_specs()[0]
     name = spec.class_name
     rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
-    for i, fs in enumerate((100.0, 100.0, 500.0, 500.0)):
-        write_record(generate_record(spec, 10.0, fs, seed=i, record_id=f"R{i}",
+    for i, (fs, seconds) in enumerate(layout):
+        write_record(generate_record(spec, seconds, fs, seed=i, record_id=f"R{i}",
                                      patient_id=f"P{i}"), root / "records")
-        rows.append(f'R{i},P{i},"{{\'{name}\': 100.0}}",{i + 1},records/R{i}')
+        rows.append(f'R{i},P{i},"{{\'{name}\': 100.0}}",{i % 10 + 1},records/R{i}')
     (root / "database.csv").write_text("\n".join(rows) + "\n")
     (root / "scp_statements.csv").write_text(f"code,diagnostic_class\n{name},{name}\n")
+
+
+def _assert_cleaned_record_by_record(raw, pre, want_dir, n):
+    """Each cleaned record R0..R<n-1> under `pre` has the bytes of
+    `clean_signal` of its raw record alone, written to `want_dir`."""
+    for i in range(n):
+        rec = load_record(raw / "records" / f"R{i}.hea")
+        write_record(SignalRecord(clean_signal(rec.samples, rec.fs), 100.0,
+                                  rec.lead_names, rec.record_id), want_dir)
+        for ext in (".dat", ".hea"):
+            assert ((pre / "cleaned" / f"R{i}{ext}").read_bytes()
+                    == (want_dir / f"R{i}{ext}").read_bytes())
 
 
 def test_preprocess_designs_one_bandpass_per_rate(tmp_path, monkeypatch):
@@ -108,12 +124,73 @@ def test_preprocess_designs_one_bandpass_per_rate(tmp_path, monkeypatch):
     monkeypatch.setattr(dsp.signal, "butter", counting_butter)
     assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
     assert sorted(designs) == [100.0, 500.0]
-    for i in range(4):
-        rec = load_record(raw / "records" / f"R{i}.hea")
-        write_record(SignalRecord(clean_signal(rec.samples, rec.fs), 100.0,
-                                  rec.lead_names, rec.record_id), tmp_path / "want")
-        assert ((pre / "cleaned" / f"R{i}.dat").read_bytes()
-                == (tmp_path / "want" / f"R{i}.dat").read_bytes())
+    _assert_cleaned_record_by_record(raw, pre, tmp_path / "want", 4)
+
+
+def test_preprocess_chunks_clean_as_record_by_record(tmp_path, monkeypatch):
+    """Records of one rate and shape are cleaned as one stack, at most
+    CLEAN_CHUNK_SAMPLES raw samples of them (here three 10-s 100 Hz
+    records), and a new rate or length starts a new chunk. Every cleaned
+    file is byte-identical to cleaning its record alone, and the index
+    keeps the database's order."""
+    layout = ([(100.0, 10.0)] * 4 + [(100.0, 40.0)] + [(100.0, 10.0)] * 2
+              + [(500.0, 10.0)] * 2 + [(100.0, 40.0)] * 2 + [(100.0, 10.0)])
+    raw, pre = tmp_path / "raw", tmp_path / "pre"
+    _mixed_rate_corpus(raw, layout)
+    clean, chunks = dsp.clean_signal, []
+
+    def recorded(samples, fs, spec=None):
+        chunks.append((len(samples), fs))
+        return clean(samples, fs, spec)
+
+    monkeypatch.setattr(cli, "CLEAN_CHUNK_SAMPLES", 3 * 8 * 1000)
+    monkeypatch.setattr(dsp, "clean_signal", recorded)
+    assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
+    monkeypatch.undo()
+    assert chunks == [(3, 100.0), (1, 100.0), (1, 100.0), (2, 100.0), (1, 500.0),
+                      (1, 500.0), (1, 100.0), (1, 100.0), (1, 100.0)]
+    index = json.loads((pre / "records_index.json").read_text())
+    assert [e["record_id"] for e in index] == [f"R{i}" for i in range(len(layout))]
+    _assert_cleaned_record_by_record(raw, pre, tmp_path / "want", len(layout))
+
+
+def test_preprocess_fails_on_the_first_bad_record_as_record_by_record(tmp_path, capsys):
+    """R1's 50 Hz cannot hold the 45 Hz band edge (exit 2) and R2 of the
+    same rate and shape has no signal file (exit 4): R1 is cleaned before
+    R2's load error propagates, so R1's error is the one reported."""
+    raw = tmp_path / "raw"
+    _mixed_rate_corpus(raw, [(100.0, 10.0), (50.0, 10.0), (50.0, 10.0)])
+    (raw / "records" / "R2.dat").unlink()
+    assert main(["preprocess", "--out", str(tmp_path / "pre"), "--data", str(raw)]) == 2
+    assert "invalid for fs=50.0" in capsys.readouterr().err
+
+
+def test_preprocess_designs_notch_and_anti_alias_once_per_chunk(tmp_path, monkeypatch):
+    """Above 100 Hz the notch and the anti-alias low-pass are designed on
+    each `clean_signal` call: once per chunk of records, not per record.
+    The 500 Hz chunks clean as record by record."""
+    n, samples = 5, 8 * 5000        # 10-s records of 8 leads at 500 Hz
+    raw, pre = tmp_path / "raw", tmp_path / "pre"
+    _mixed_rate_corpus(raw, [(500.0, 10.0)] * n)
+    butter, iirnotch, designs = dsp.signal.butter, dsp.signal.iirnotch, []
+
+    def counting_butter(*args, **kwargs):
+        designs.append(kwargs.get("btype"))
+        return butter(*args, **kwargs)
+
+    def counting_iirnotch(*args, **kwargs):
+        designs.append("notch")
+        return iirnotch(*args, **kwargs)
+
+    monkeypatch.setattr(dsp.signal, "butter", counting_butter)
+    monkeypatch.setattr(dsp.signal, "iirnotch", counting_iirnotch)
+    assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
+    per_chunk = cli.CLEAN_CHUNK_SAMPLES // samples
+    n_chunks = -(-n // per_chunk)
+    assert 1 < n_chunks < n
+    assert designs.count("low") == n_chunks
+    assert designs.count("notch") == n_chunks
+    _assert_cleaned_record_by_record(raw, pre, tmp_path / "want", n)
 
 
 def test_filters_length_preserving_and_linear():
@@ -168,6 +245,31 @@ def test_baseline_rows_equal_nd_median_filter(shape):
     out = baseline_remove(x, 100.0)
     assert out.shape == shape
     np.testing.assert_array_equal(out, _nd_baseline_remove(x, 100.0))
+
+
+def _brute_baseline_remove(x, fs):
+    """The two median stages by definition: np.median over each window of
+    every row, the row extended by whole-sample reflection (scipy's
+    "reflect": d c b a | a b c d | d c b a ...), as far as the window needs."""
+    spec = FilterSpec()
+    baseline = x
+    for seconds in (spec.median_win_short, spec.median_win_long):
+        w = dsp._odd_window(seconds, fs)
+        n, p = x.shape[-1], w // 2
+        at = np.arange(-p, n + p) % (2 * n)
+        padded = baseline[..., np.where(at < n, at, 2 * n - 1 - at)]
+        baseline = np.median(np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1),
+                             axis=-1)
+    return x - baseline
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 11, 30, 31, 100])
+def test_baseline_rows_shorter_than_the_window_equal_definition(n):
+    """Rows shorter than the 61-sample long window reflect more than once.
+    scipy's 1-D running-median kernel, called on such a row alone, returns
+    values that are no sample of it (n = 2 and 4)."""
+    x = np.random.default_rng(n).normal(size=(4, n))
+    np.testing.assert_array_equal(baseline_remove(x, 100.0), _brute_baseline_remove(x, 100.0))
 
 
 def test_baseline_kills_slow_wander_keeps_impulses():
@@ -293,6 +395,16 @@ def test_clean_signal_whole_record_matches_per_lead_chain(fs):
     out = clean_signal(rec.samples, fs)
     assert out.shape == (8, 1000)
     np.testing.assert_array_equal(out, _per_lead_chain(rec.samples, fs))
+
+
+@pytest.mark.parametrize("fs", [100.0, 500.0, 1000.0])
+def test_clean_signal_stack_matches_each_record_alone(fs):
+    records = [generate_record(spec, 10.0, fs, seed=i).samples
+               for i, spec in enumerate(builtin_class_specs()[:3])]
+    out = clean_signal(np.stack(records), fs)
+    assert out.shape == (3, 8, 1000)
+    for samples, row in zip(records, out):
+        np.testing.assert_array_equal(row, clean_signal(samples, fs))
 
 
 def test_rpeaks_batch_matches_row_calls():
