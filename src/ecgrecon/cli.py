@@ -19,6 +19,7 @@ import math
 import shutil
 import sys
 import uuid
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,9 @@ import numpy as np
 from . import __version__
 from . import dsp
 from .contrastive import PretrainConfig, embed_all, pretrain, save_pretrained
-from .dataset import (TARGET_LEADS, Segments, apply_qc, chunked, fit_qc_bounds,
-                      load_segments, load_vectors, save_segments, save_vectors,
-                      segment_record, segment_record_nonoverlap, segment_stats,
-                      split_by_fold)
+from .dataset import (TARGET_LEADS, apply_qc, chunked, fit_qc_bounds, load_segments,
+                      load_vectors, save_segments, save_vectors, segment_records,
+                      segment_stats, split_by_fold)
 from .errors import (ConfigError, DataError, DependencyError, PipelineError,
                      json_field, read_json, read_text)
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
@@ -38,7 +38,7 @@ from .nn import load_checkpoint
 from .reconstruction import (NormStats, TrainConfig, normalize_x,
                              reconstruct_record, save_decoders, train_decoders)
 from .synth import builtin_class_specs, generate_corpus, load_class_specs
-from .wfdb_io import (DiagnosticLabels, SignalRecord, load_record,
+from .wfdb_io import (DiagnosticLabels, SignalRecord, load_record, parse_header,
                       parse_ptbxl_metadata, write_record)
 
 
@@ -326,18 +326,37 @@ def cmd_preprocess(args, out, settings):
             f"preprocess: cleaned {len(index)} records into {Path(args.out)}")
 
 
-def _load_cleaned_records(preprocessed_dir, record_ids=None):
-    """Cleaned records in index order; only those in `record_ids` if given.
-    An index entry that is not an object, lacks a field, or holds one of
-    the wrong type or a fold outside 1-10, is a DataError."""
+@dataclass
+class IndexEntry:
+    """One checked `records_index.json` entry: a cleaned record's
+    metadata and the path of its header."""
+
+    record_id: str
+    patient_id: str
+    fold: int
+    labels: DiagnosticLabels
+    path: Path
+
+    def load(self):
+        """The cleaned record, with this entry's patient, fold and labels."""
+        rec = load_record(self.path)
+        rec.patient_id, rec.fold, rec.labels = self.patient_id, self.fold, self.labels
+        return rec
+
+
+def _read_index(preprocessed_dir, record_ids=None):
+    """The entries of a preprocessed directory's index, in order; only
+    those in `record_ids` if given. An entry that is not an object, lacks
+    a field, or holds one of the wrong type, a fold outside 1-10 or a
+    likelihood that is no number in [0, 100], is a DataError."""
     pre = Path(preprocessed_dir)
     require_manifest(pre)
     index_path = pre / "records_index.json"
-    records = []
+    entries = []
     for i, entry in enumerate(read_json(index_path, list)):
         where = f"{index_path} entry {i}"
-        if (record_ids is not None
-                and json_field(entry, "record_id", str, where) not in record_ids):
+        record_id = json_field(entry, "record_id", str, where)
+        if record_ids is not None and record_id not in record_ids:
             continue
         fold = json_field(entry, "fold", int, where)
         if not 1 <= fold <= 10:
@@ -348,12 +367,9 @@ def _load_cleaned_records(preprocessed_dir, record_ids=None):
                 superclass=json_field(entry, "superclass", dict, where))
         except (TypeError, ValueError) as exc:   # a likelihood that is no number in [0, 100]
             raise DataError(f"{where}: {exc}")
-        rec = load_record(pre / json_field(entry, "path", str, where))
-        rec.patient_id = json_field(entry, "patient_id", str, where)
-        rec.fold = fold
-        rec.labels = labels
-        records.append(rec)
-    return records
+        entries.append(IndexEntry(record_id, json_field(entry, "patient_id", str, where),
+                                  fold, labels, pre / json_field(entry, "path", str, where)))
+    return entries
 
 
 def cmd_split(args, out, settings):
@@ -361,14 +377,17 @@ def cmd_split(args, out, settings):
     if not lo_pct < hi_pct <= 100:
         raise ConfigError(f"need 0 <= lo_pct < hi_pct <= 100, got lo_pct={lo_pct}, "
                           f"hi_pct={hi_pct}")
-    splits = split_by_fold(_load_cleaned_records(args.data))
-    record_ids = {name: [r.record_id for r in recs] for name, recs in splits.items()}
-    # one split at a time, train first (it fits the QC bounds): each split's
-    # records die once windowed, and its windows once written
+    splits = split_by_fold(_read_index(args.data))
+    record_ids = {name: [e.record_id for e in entries] for name, entries in splits.items()}
+    # one split at a time, train first (it fits the QC bounds): each store
+    # is counted from the headers, filled record by record and compacted
+    # by QC in place, and dropped once written
     kept, rejected = {}, {}
     for name in ("train", "val", "test"):
-        segment = segment_record_nonoverlap if name == "test" else segment_record
-        segs = Segments.concat(segment(r) for r in splits.pop(name))
+        entries = splits.pop(name)
+        lengths = [parse_header(read_text(e.path)).n_samples for e in entries]
+        segs = segment_records((e.load() for e in entries), lengths,
+                               nonoverlap=name == "test")
         stats = segment_stats(segs)
         if name == "train":
             if not len(segs):
@@ -484,8 +503,8 @@ def _test_records(split_dir):
                       f"{where} records")
     if not all(isinstance(rid, str) for rid in test):
         raise DataError(f"{where}: test record ids are not all strings")
-    return _load_cleaned_records(json_field(splits, "preprocessed_dir", str, where),
-                                 set(test))
+    return [e.load() for e in _read_index(
+        json_field(splits, "preprocessed_dir", str, where), set(test))]
 
 
 def cmd_reconstruct(args, out, settings):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, LeakageError, json_field, read_json, require_finite
 from .wfdb_io import fold_to_split
@@ -22,6 +23,7 @@ ALL_LEADS = INPUT_LEADS + TARGET_LEADS
 WINDOW = 256
 HOP = 64
 CHUNK = 256   # windows per step wherever a whole store is processed
+BLOCK = 32    # windows per step where a step copies its windows (8 KiB float32 each)
 
 SEGSTORE_FORMAT = "ecgrecon-segstore-v1"
 VECSTORE_FORMAT = "ecgrecon-vecstore-v1"
@@ -46,10 +48,11 @@ class Segments:
         self.start = np.asarray(self.start, dtype=np.int64)
         self.fold = np.asarray(self.fold, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=object)
-        finite = np.isfinite(self.w).all(axis=(1, 2))
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise DataError(f"non-finite segment from {self.record_id[i]}@{self.start[i]}")
+        for lo, w in zip(range(0, len(self.w), CHUNK), chunked(self.w)):
+            finite = np.isfinite(w).all(axis=(1, 2))
+            if not finite.all():
+                i = lo + int(np.argmin(finite))
+                raise DataError(f"non-finite segment from {self.record_id[i]}@{self.start[i]}")
 
     @property
     def x(self):
@@ -77,9 +80,9 @@ class Segments:
         return cls(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS})
 
 
-def chunked(array):
-    """Consecutive row slices of `array`, views of at most CHUNK rows each."""
-    return (array[lo:lo + CHUNK] for lo in range(0, len(array), CHUNK))
+def chunked(array, rows=CHUNK):
+    """Consecutive row slices of `array`, views of at most `rows` rows each."""
+    return (array[lo:lo + rows] for lo in range(0, len(array), rows))
 
 
 @dataclass
@@ -104,33 +107,70 @@ class QcBounds:
                    rms_lo=np.asarray(d["rms_lo"]), rms_hi=np.asarray(d["rms_hi"]))
 
 
-def _extract(rec, offsets):
+def _window_offsets(n_samples, nonoverlap=False):
+    """Offsets of the windows of a record of `n_samples`: every HOP while
+    a window fits; with `nonoverlap`, every WINDOW plus one final
+    right-aligned window where the last does not end the record."""
+    offsets = np.arange(0, n_samples - WINDOW + 1, WINDOW if nonoverlap else HOP)
+    if nonoverlap and len(offsets) and offsets[-1] != n_samples - WINDOW:
+        offsets = np.append(offsets, n_samples - WINDOW)
+    return offsets
+
+
+def _extract(rec, nonoverlap, out):
+    """Write the windows of `rec` at `_window_offsets` into `out`, a float32
+    [n, 8, WINDOW] array, and return their offsets. They are copied from
+    strided views of the record, so no float64 copy of them is made."""
     if rec.fs != 100:
         raise DataError(f"record {rec.record_id} not at 100 Hz (fs={rec.fs})")
     missing = [l for l in ALL_LEADS if l not in rec.lead_names]
     if missing:
         raise DataError(f"record {rec.record_id} missing leads {missing}")
-    rows = np.array([rec.lead_names.index(l) for l in ALL_LEADS])
-    offsets = np.asarray(offsets, dtype=np.int64)
-    win = rec.samples[rows[None, :, None], offsets[:, None, None] + np.arange(WINDOW)]
-    n = len(offsets)
-    fold = rec.fold if rec.fold is not None else 0
-    return Segments(w=win, record_id=[rec.record_id] * n, start=offsets, fold=[fold] * n,
-                    labels=[frozenset(rec.labels.high_confidence())] * n)
+    offsets = _window_offsets(rec.n_samples, nonoverlap)
+    if len(offsets):
+        leads = rec.samples[[rec.lead_names.index(l) for l in ALL_LEADS]]
+        # [n_samples - WINDOW + 1, 8, WINDOW]: row o is the window at offset o
+        windows = sliding_window_view(leads, WINDOW, axis=1).transpose(1, 0, 2)
+        run = windows[::WINDOW if nonoverlap else HOP]
+        out[:len(run)] = run
+        out[len(run):] = windows[offsets[len(run):]]   # the right-aligned window
+    return offsets
+
+
+def segment_records(records, lengths, nonoverlap=False):
+    """One `Segments` of the windows of `records`, in order. `lengths`
+    holds each record's sample count, known before the record is read
+    (from its header), so the window array is allocated once and each
+    record's windows go straight into their rows: `records` may load each
+    record as it is asked for, and it is dropped once windowed. A record
+    of another length than its entry in `lengths` is a DataError."""
+    counts = [len(_window_offsets(n, nonoverlap)) for n in lengths]
+    w = np.empty((sum(counts), len(ALL_LEADS), WINDOW), np.float32)
+    start = np.empty(len(w), np.int64)
+    ids, folds, labels = [], [], []
+    lo = 0
+    for rec, n, k in zip(records, lengths, counts):
+        if rec.n_samples != n:
+            raise DataError(f"record {rec.record_id} holds {rec.n_samples} samples, "
+                            f"not the {n} its windows were counted for")
+        start[lo:lo + k] = _extract(rec, nonoverlap, w[lo:lo + k])
+        ids.append(rec.record_id)
+        folds.append(rec.fold if rec.fold is not None else 0)
+        labels.append(frozenset(rec.labels.high_confidence()))
+        lo += k
+    return Segments(w=w, record_id=np.repeat(np.array(ids, dtype=str), counts), start=start,
+                    fold=np.repeat(np.array(folds, dtype=np.int64), counts),
+                    labels=np.repeat(np.array(labels, dtype=object), counts))
 
 
 def segment_record(rec):
     """Overlapping training windows at offsets 0, HOP, 2*HOP, ..."""
-    return _extract(rec, range(0, rec.n_samples - WINDOW + 1, HOP))
+    return segment_records([rec], [rec.n_samples])
 
 
 def segment_record_nonoverlap(rec):
     """Non-overlapping tiling plus one final right-aligned window."""
-    n = rec.n_samples
-    offsets = list(range(0, n - WINDOW + 1, WINDOW))
-    if offsets and offsets[-1] != n - WINDOW:
-        offsets.append(n - WINDOW)
-    return _extract(rec, offsets)
+    return segment_records([rec], [rec.n_samples], nonoverlap=True)
 
 
 def segment_stats(segments):
@@ -138,7 +178,8 @@ def segment_stats(segments):
     each [N, 8]."""
     ptp = np.empty((len(segments), len(ALL_LEADS)))
     rms = np.empty_like(ptp)
-    for w, p, r in zip(chunked(segments.w), chunked(ptp), chunked(rms)):
+    # float64 work in BLOCK rows at a time; each statistic reduces one row
+    for w, p, r in zip(*(chunked(a, BLOCK) for a in (segments.w, ptp, rms))):
         w = w.astype(np.float64)
         p[:] = w.max(axis=-1) - w.min(axis=-1)
         r[:] = np.sqrt(np.mean(np.square(w, out=w), axis=-1))
@@ -159,12 +200,28 @@ def fit_qc_bounds(stats, lo_pct=0.1, hi_pct=99.9):
         rms_hi=np.percentile(rmss, hi_pct, axis=0))
 
 
+def compact(segments, keep):
+    """`segments[keep]` for a boolean mask `keep`, made in place: the kept
+    rows of every field move to the front, in order, BLOCK rows at a
+    time, and the result is a view of them. A block's rows land at or
+    before their own, never on a row of a later block. The rows past the
+    kept ones are left undefined; `segments` must be writable."""
+    n = 0
+    for lo in range(0, len(keep), BLOCK):
+        rows = lo + np.flatnonzero(keep[lo:lo + BLOCK])
+        for f in _FIELDS:
+            column = getattr(segments, f)
+            column[n:n + len(rows)] = column[rows]
+        n += len(rows)
+    return segments[:n]
+
+
 def apply_qc(segments, stats, bounds):
     """Reject a segment iff any lead statistic in `stats`, the
     `segment_stats` of `segments`, falls strictly outside its closed
-    interval. Returns (kept, rejected): the kept `Segments` and, per
-    rejected window, (its row in `segments`, its "<lead>:ptp" /
-    "<lead>:rms" reasons)."""
+    interval. Returns (kept, rejected): the kept `Segments`, `compact`ed
+    in place into the front of `segments`, and, per rejected window, (its
+    row in `segments`, its "<lead>:ptp" / "<lead>:rms" reasons)."""
     ptp, rms = stats
     names = [f"{lead}:{stat}" for lead in bounds.leads for stat in ("ptp", "rms")]
     out = np.stack([(ptp < bounds.ptp_lo) | (ptp > bounds.ptp_hi),
@@ -173,11 +230,12 @@ def apply_qc(segments, stats, bounds):
     bad = out.any(axis=1)
     rejected = [(int(i), [n for n, o in zip(names, out[i]) if o])
                 for i in np.flatnonzero(bad)]
-    return segments[~bad], rejected
+    return compact(segments, ~bad), rejected
 
 
 def split_by_fold(records):
-    """Partition records into train (folds 1-8), val (9), test (10).
+    """Partition records into train (folds 1-8), val (9), test (10); any
+    item with `record_id`, `patient_id` and `fold` will do.
 
     Verifies patient independence; a patient spanning splits is a hard error.
     """

@@ -280,6 +280,22 @@ def test_split_holds_each_store_once(tmp_path):
     store it writes: about 2.5x when it builds, checks and writes one
     store at a time, about 3.5x when every split's windows, pre- and
     post-QC, are held until the end."""
+    peak, store = _split_peak_and_store(tmp_path)
+    assert peak < 3.0 * store
+
+
+def test_split_peak_is_about_one_store(tmp_path):
+    """On the same corpus, split's traced peak stays below 1.6x the bytes
+    of the training store: it fills one preallocated window array per
+    split and applies QC in place (about 1.2x), where joining per-record
+    parts and copying the kept windows took about 2.5x."""
+    peak, store = _split_peak_and_store(tmp_path)
+    assert peak < 1.6 * store
+
+
+def _split_peak_and_store(tmp_path):
+    """(split's traced peak, bytes of segments_train.f32) on an
+    ingest-shaped corpus: 4 classes x 10 patients x 2 records of 10 s."""
     raw, pre, split = tmp_path / "raw", tmp_path / "pre", tmp_path / "split"
     assert main(["synth", "--out", str(raw), "--classes", "4", "--patients", "10",
                  "--records", "2", "--duration", "10", "--seed", "0"]) == 0
@@ -291,7 +307,7 @@ def test_split_holds_each_store_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 3.0 * (split / "segments_train.f32").stat().st_size
+    return peak, (split / "segments_train.f32").stat().st_size
 
 
 def test_preprocess_memory_bounded_by_the_chunk(tmp_path):
@@ -319,21 +335,83 @@ def test_preprocess_memory_bounded_by_the_chunk(tmp_path):
     assert peaks[1] < 8 * budget
 
 
+def _count_loads(monkeypatch):
+    """The .hea path of every record `split` loads, appended as it loads."""
+    import ecgrecon.cli as cli
+    loaded = []
+
+    def counted(path, **kwargs):
+        loaded.append(Path(path).name)
+        return load_record(path, **kwargs)
+
+    monkeypatch.setattr(cli, "load_record", counted)
+    return loaded
+
+
 def test_split_without_training_windows_exit_4_before_val_or_test(
         pipeline, tmp_path, capsys, monkeypatch):
-    import ecgrecon.cli as cli
-    windowed = []
-    for name in ("segment_record", "segment_record_nonoverlap"):
-        monkeypatch.setattr(cli, name, lambda rec: windowed.append(rec.record_id))
+    loaded = _count_loads(monkeypatch)
     pre = tmp_path / "pre"
     shutil.copytree(pipeline["pre"], pre)
     _edit_json(pre / "records_index.json",
                lambda index: index.__setitem__(slice(None), [e for e in index
                                                              if e["fold"] > 8]))
+    assert json.loads((pre / "records_index.json").read_text())   # val and test remain
     out = tmp_path / "o"
     assert main(["split", "--out", str(out), "--data", str(pre)]) == 4
     assert capsys.readouterr().err == "error:data: no training segments\n"
-    assert windowed == [] and not out.exists()
+    assert loaded == [] and not out.exists()
+
+
+def test_split_loads_each_record_once(pipeline, tmp_path, monkeypatch):
+    """Each store is counted from the headers, then filled: every cleaned
+    record is read once, in index order within its split."""
+    loaded = _count_loads(monkeypatch)
+    assert main(["split", "--out", str(tmp_path / "s"), "--data", str(pipeline["pre"])]) == 0
+    index = json.loads((pipeline["pre"] / "records_index.json").read_text())
+    assert sorted(loaded) == sorted(Path(e["path"]).name for e in index)
+    records = json.loads((tmp_path / "s" / "splits.json").read_text())["records"]
+    assert loaded == [f"{rid}.hea" for name in ("train", "val", "test")
+                      for rid in records[name]]
+
+
+def _test_split_record(pre):
+    """The id of the first test-split record in a preprocessed directory."""
+    index = json.loads((pre / "records_index.json").read_text())
+    return next(e["record_id"] for e in index if e["fold"] == 10)
+
+
+def _truncate_dat(pre, record_id):
+    dat = pre / "cleaned" / f"{record_id}.dat"
+    dat.write_bytes(dat.read_bytes()[:-2])
+
+
+def _shorten_header(pre, record_id):
+    """Declare one sample fewer in the record's .hea than its .dat holds."""
+    hea = pre / "cleaned" / f"{record_id}.hea"
+    lines = hea.read_text().split("\n")
+    name, n_signals, fs, n_samples = lines[0].split()
+    lines[0] = f"{name} {n_signals} {fs} {int(n_samples) - 1}"
+    hea.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(_truncate_dat, id="truncated-dat"),
+    pytest.param(_shorten_header, id="header-length-disagrees"),
+])
+def test_split_error_in_a_test_record_publishes_nothing(pipeline, tmp_path, capsys,
+                                                        damage):
+    """A test-split record is read after the train store is written into
+    the stage's work directory: its error still leaves no --out and no
+    work directory behind."""
+    pre = tmp_path / "pre"
+    shutil.copytree(pipeline["pre"], pre)
+    damage(pre, _test_split_record(pre))
+    out = tmp_path / "o"
+    assert main(["split", "--out", str(out), "--data", str(pre)]) == 4
+    assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["pre"]
 
 
 @pytest.mark.parametrize("stage", ["evaluate", "reconstruct"])
@@ -546,6 +624,10 @@ def _edit_json(path, edit):
     pytest.param(lambda index: index.__setitem__(0, 5), id="entry-not-object"),
     pytest.param(lambda index: index[0].pop("patient_id"), id="missing-key"),
     pytest.param(lambda index: index[0].update(fold="x"), id="fold-text"),
+    pytest.param(lambda index: index[0].update(fold=0), id="fold-0"),
+    pytest.param(lambda index: index[0].update(fold=11), id="fold-11"),
+    pytest.param(lambda index: index[0]["likelihoods"].update(NORM="x"),
+                 id="likelihood-text"),
 ])
 def test_bad_records_index_entry_exit_4(pipeline, tmp_path, capsys, edit):
     pre = tmp_path / "pre"
@@ -555,6 +637,7 @@ def test_bad_records_index_entry_exit_4(pipeline, tmp_path, capsys, edit):
     assert main(["split", "--out", str(out), "--data", str(pre)]) == 4
     assert capsys.readouterr().err.startswith("error:data:")
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["pre"]
 
 
 @pytest.mark.parametrize("edit", [

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ecgrecon.dataset import (ALL_LEADS, CHUNK, QcBounds, Segments, apply_qc, chunked,
-                              fit_qc_bounds, load_segments, load_vectors,
-                              save_segments, save_vectors, segment_record,
-                              segment_record_nonoverlap, segment_stats,
+from ecgrecon.dataset import (ALL_LEADS, BLOCK, CHUNK, HOP, WINDOW, QcBounds, Segments,
+                              apply_qc, chunked, compact, fit_qc_bounds, load_segments,
+                              load_vectors, save_segments, save_vectors, segment_record,
+                              segment_record_nonoverlap, segment_records, segment_stats,
                               split_by_fold)
 from ecgrecon.errors import DataError, LeakageError
 from ecgrecon.wfdb_io import DiagnosticLabels, SignalRecord
@@ -73,6 +73,96 @@ def test_non_finite_window_rejected():
     rec.samples[4, 300] = np.nan      # inside the windows at 64, 128, ..., 256
     with pytest.raises(DataError, match="non-finite segment from nan-rec@64"):
         segment_record(rec)
+
+
+def test_non_finite_window_past_the_first_chunk_named():
+    w = np.zeros((2 * CHUNK + 3, len(ALL_LEADS), WINDOW), np.float32)
+    w[CHUNK + 5, 2, 7] = np.inf
+    w[2 * CHUNK + 1, 0, 0] = np.nan
+    n = len(w)
+    with pytest.raises(DataError, match=f"non-finite segment from r{CHUNK + 5}@{CHUNK + 5}"):
+        Segments(w=w, record_id=[f"r{i}" for i in range(n)], start=np.arange(n),
+                 fold=[1] * n, labels=[frozenset()] * n)
+
+
+def test_segments_finite_check_makes_no_whole_store_temporary():
+    n = 3 * CHUNK + 5
+    w = np.zeros((n, len(ALL_LEADS), WINDOW), np.float32)
+    meta = dict(record_id=["r"] * n, start=np.arange(n), fold=[1] * n,
+                labels=[frozenset()] * n)
+    tracemalloc.start()
+    try:
+        Segments(w=w, **meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one CHUNK of booleans at a time, not an [N, 8, T] mask (a quarter of w)
+    assert peak < w.nbytes / 8
+
+
+def _old_extract(rec, offsets):
+    """The windows as the fancy-index gather in float64, then cast."""
+    rows = np.array([rec.lead_names.index(l) for l in ALL_LEADS])
+    offsets = np.asarray(offsets, dtype=np.int64)
+    return rec.samples[rows[None, :, None],
+                       offsets[:, None, None] + np.arange(WINDOW)].astype(np.float32)
+
+
+@pytest.mark.parametrize("n", [255, 256, 300, 319, 320, 512, 1000, 1001])
+def test_windows_equal_a_gather_of_the_record(n):
+    rec = _record(n, seed=n)
+    rec.lead_names = list(reversed(ALL_LEADS))    # rows are picked by name
+    for segs, offsets in (
+            (segment_record(rec), range(0, n - WINDOW + 1, HOP)),
+            (segment_record_nonoverlap(rec),
+             sorted(set(range(0, n - WINDOW + 1, WINDOW))
+                    | ({n - WINDOW} if n >= WINDOW else set())))):
+        assert segs.start.tolist() == list(offsets)
+        assert segs.w.dtype == np.float32
+        assert np.array_equal(segs.w, _old_extract(rec, list(offsets)))
+
+
+def test_segment_records_fills_one_array_record_by_record():
+    recs = [_record(n, record_id=f"r{i}", fold=i + 1, seed=i)
+            for i, n in enumerate((1000, 200, 600, 256))]
+    recs[1].labels = DiagnosticLabels({"MI": 90.0, "NORM": 10.0})
+    asked = []
+
+    def lazily():
+        for rec in recs:
+            asked.append(rec.record_id)
+            yield rec
+
+    for nonoverlap, one in ((False, segment_record), (True, segment_record_nonoverlap)):
+        asked.clear()
+        segs = segment_records(lazily(), [r.n_samples for r in recs], nonoverlap)
+        assert asked == ["r0", "r1", "r2", "r3"]
+        parts = Segments.concat(one(r) for r in recs)
+        assert np.array_equal(segs.w, parts.w)
+        for f in ("record_id", "start", "fold", "labels"):
+            assert getattr(segs, f).tolist() == getattr(parts, f).tolist()
+    empty = segment_records([], [])
+    assert empty.w.shape == (0, len(ALL_LEADS), WINDOW) and len(empty.labels) == 0
+
+
+def test_segment_records_refuses_a_record_of_another_length():
+    with pytest.raises(DataError, match="r holds 1000 samples, not the 1064"):
+        segment_records([_record(1000)], [1064])
+
+
+def test_segment_record_makes_no_float64_copy_of_its_windows():
+    rec = _record(10_000)
+    n_windows = len(range(0, 10_000 - WINDOW + 1, HOP))
+    window_bytes = n_windows * len(ALL_LEADS) * WINDOW * 4
+    tracemalloc.start()
+    try:
+        segment_record(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 windows and one float64 copy of the record's leads; a
+    # float64 gather of the windows would add twice window_bytes
+    assert peak < 1.5 * window_bytes + rec.samples.nbytes
 
 
 def test_segments_indexing_and_concat():
@@ -176,6 +266,64 @@ def test_apply_qc_idempotent():
     kept2, rejected2 = apply_qc(kept, segment_stats(kept), bounds)
     assert rejected2 == []
     assert len(kept2) == len(kept)
+
+
+def _numbered_windows(n, seed=0):
+    """n random float32 windows whose metadata columns all differ by row."""
+    w = np.random.default_rng(seed).normal(size=(n, len(ALL_LEADS), WINDOW))
+    return Segments(w=w.astype(np.float32), record_id=[f"r{i}" for i in range(n)],
+                    start=np.arange(n) * 7, fold=np.arange(n) % 10 + 1,
+                    labels=[frozenset({f"c{i % 5}"}) for i in range(n)])
+
+
+def _masks(n):
+    rng = np.random.default_rng(3)
+    masks = {"none-rejected": np.ones(n, bool), "all-rejected": np.zeros(n, bool),
+             "first-rejected": np.arange(n) != 0, "last-rejected": np.arange(n) != n - 1}
+    for p in (0.02, 0.5, 0.95):
+        masks[f"random-{p}"] = rng.random(n) > p
+    return masks
+
+
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("name", list(_masks(1)))
+def test_compact_equals_boolean_selection(name):
+    n = 3 * CHUNK + 7                     # the masks cross BLOCK and CHUNK boundaries
+    keep = _masks(n)[name]
+    segs = _numbered_windows(n)
+    want = segs[keep]                     # a copy, made before the rows move
+    kept = compact(segs, keep)
+    assert len(kept) == keep.sum()
+    assert _address(kept.w) == _address(segs.w)    # a leading view, not a copy
+    assert np.array_equal(kept.w, want.w)
+    for f in ("record_id", "start", "fold", "labels"):
+        assert getattr(kept, f).tolist() == getattr(want, f).tolist()
+
+
+def test_apply_qc_compacts_in_place():
+    segs = _numbered_windows(3 * CHUNK + 7)
+    stats = segment_stats(segs)
+    bounds = fit_qc_bounds(stats, lo_pct=5, hi_pct=95)
+    ptp, rms = stats
+    keep = ~((ptp < bounds.ptp_lo) | (ptp > bounds.ptp_hi)
+             | (rms < bounds.rms_lo) | (rms > bounds.rms_hi)).any(axis=1)
+    want = segs[keep]
+    kept, rejected = apply_qc(segs, stats, bounds)
+    assert 0 < len(rejected) and [i for i, _ in rejected] == np.flatnonzero(~keep).tolist()
+    assert _address(kept.w) == _address(segs.w) and np.array_equal(kept.w, want.w)
+    assert kept.record_id.tolist() == want.record_id.tolist()
+
+
+def test_segment_stats_equal_per_window_float64():
+    segs = _numbered_windows(3 * BLOCK + 5, seed=1)
+    ptp, rms = segment_stats(segs)
+    for i, w in enumerate(segs.w):
+        w = w.astype(np.float64)
+        assert np.array_equal(ptp[i], w.max(axis=-1) - w.min(axis=-1))
+        assert np.array_equal(rms[i], np.sqrt(np.mean(np.square(w), axis=-1)))
 
 
 def test_split_by_fold_examples():
