@@ -34,7 +34,7 @@ from .errors import (ConfigError, DataError, DependencyError, PipelineError,
                      json_field, read_json, read_text)
 from .evaluation import (comparison_csv, comparison_table, diagonal_consistency,
                          evaluate_model, knn_affinity, rmse)
-from .nn import load_checkpoint
+from .nn import Encoder, LeadDecoder, load_checkpoint
 from .reconstruction import (NormStats, TrainConfig, normalize_x,
                              reconstruct_record, save_decoders, train_decoders)
 from .synth import builtin_class_specs, generate_corpus, load_class_specs
@@ -416,7 +416,10 @@ def cmd_pretrain(args, out, settings):
 
 
 def _load_encoder(encoder_dir):
-    encoder, _ = load_checkpoint(Path(encoder_dir) / "encoder.ckpt")
+    ckpt = Path(encoder_dir) / "encoder.ckpt"
+    encoder, _ = load_checkpoint(ckpt)
+    if not isinstance(encoder, Encoder):
+        raise DataError(f"{ckpt}: holds a {type(encoder).__name__}, not an Encoder")
     return encoder
 
 
@@ -434,8 +437,12 @@ def cmd_embed(args, out, settings):
 def _load_embeddings(embed_dir, split, segments):
     """The `split` embeddings under `embed_dir`, one row per window of
     `segments`; a store of another row count was embedded from another
-    segment store, a DataError."""
+    segment store, and one of another width by another encoder: each a
+    DataError."""
     h, _ = load_vectors(Path(embed_dir) / f"embeddings_{split}")
+    if h.ndim != 2 or h.shape[1] != Encoder.EMBED_DIM:
+        raise DataError(f"{embed_dir}: embeddings_{split} has shape {list(h.shape)}, "
+                        f"not [N, {Encoder.EMBED_DIM}]")
     if len(h) != len(segments):
         raise DataError(f"{embed_dir}: embeddings_{split} holds {len(h)} rows for "
                         f"{len(segments)} windows of segments_{split}")
@@ -473,6 +480,10 @@ def _load_decoders(decoder_dir):
         if not (path / f"decoder_{lead}.ckpt.json").exists():
             continue
         model, extra = load_checkpoint(ckpt)
+        if not isinstance(model, LeadDecoder):
+            raise DataError(f"{ckpt}: holds a {type(model).__name__}, not a LeadDecoder")
+        if model.lead != lead:
+            raise DataError(f"{ckpt}: holds the decoder of lead {model.lead!r}, not {lead}")
         decoders[lead] = model
         if extra is not None and not isinstance(extra, dict):
             raise DataError(f"{ckpt}: checkpoint 'extra' is not a JSON object")
@@ -576,7 +587,7 @@ def cmd_affinity(args, out, settings):
     segments = segments[single]
     labels = [next(iter(l)) for l in segments.labels]
     h_aff = knn_affinity(h[single], labels, k=k)
-    x_flat = np.concatenate([normalize_x(x)[0] for x in chunked(segments.x)])
+    x_flat = np.concatenate([normalize_x(x) for x in chunked(segments.x)])
     x_aff = knn_affinity(x_flat.reshape(len(segments), -1), labels, k=k)
     (out / "affinity_h.csv").write_text(h_aff.to_csv())
     (out / "affinity_x.csv").write_text(x_aff.to_csv())

@@ -27,7 +27,7 @@ DEGENERATE_STD = 1e-6
 
 def normalize_x(x):
     """Lead-wise z-score over time of one window [3, T] or a batch
-    [..., 3, T]; returns (x_hat float32, mu, sigma), mu and sigma [..., 3].
+    [..., 3, T], as float32.
 
     Rows with population std below 1e-6 are zeroed (flat leads carry no
     information; eps alone would just amplify noise).
@@ -36,7 +36,7 @@ def normalize_x(x):
     mu = x.mean(axis=-1, keepdims=True)
     sigma = x.std(axis=-1, keepdims=True)
     x_hat = np.where(sigma < DEGENERATE_STD, 0.0, (x - mu) / (sigma + EPS))
-    return x_hat.astype(np.float32), mu[..., 0], sigma[..., 0]
+    return x_hat.astype(np.float32)
 
 
 def normalize_h(h, mu, sigma):
@@ -112,7 +112,7 @@ class TrainResult:
 def _prep_arrays(segments, embeddings, stats, conditioned):
     """(x_hat, h_hat, y_hat [N, 5, T]) of a store, float32; the targets are
     z-scored one lead at a time, so no float64 copy of the store is made."""
-    xs = np.concatenate([normalize_x(x)[0] for x in chunked(segments.x)])
+    xs = np.concatenate([normalize_x(x) for x in chunked(segments.x)])
     ys = np.empty(segments.y.shape, dtype=np.float32)
     for li in range(len(TARGET_LEADS)):
         ys[:, li] = ((segments.y[:, li].astype(np.float64) - stats.y_mu[li])
@@ -241,7 +241,7 @@ def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True):
             hh = normalize_h(h, stats.h_mu, stats.h_sigma)
         else:
             hh = np.zeros((len(x), Encoder.EMBED_DIM), dtype=np.float32)
-        xb, hb = Tensor(normalize_x(x)[0]), Tensor(hh)
+        xb, hb = Tensor(normalize_x(x)), Tensor(hh)
         for li, lead in enumerate(TARGET_LEADS):
             o[:, li] = denormalize_y(decoders[lead](xb, hb).data,
                                      stats.y_mu[li], stats.y_sigma[li])

@@ -34,8 +34,6 @@ class Tensor:
     """A dense array node in the autodiff tape."""
 
     def __init__(self, data, requires_grad=False, dtype=np.float32):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -47,19 +45,12 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
     @property
     def dtype(self):
         return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
         self.grad = None
@@ -110,82 +101,40 @@ class Tensor:
         if not self.requires_grad:
             self.grad = None
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / np.asarray(other))
-
     def item(self):
         return float(self.data.reshape(()))
 
 
-def _as_const(x, like):
-    """Coerce a python/numpy value to an ndarray matching `like`'s dtype."""
-    return np.asarray(x, dtype=like.dtype)
-
-
 def _make(data, parents, backward):
+    """A node holding `data`. Only the parents that require grad are kept,
+    so constants and inputs never enter `backward`'s sweep; with none, the
+    node records no closure either."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
     out.grad = None
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    out._parents = tuple(p for p in parents if p.requires_grad)
+    out.requires_grad = bool(out._parents)
+    out._backward = backward if out._parents else None
     return out
 
 
 def _binary(a, b, fwd, bwd_a, bwd_b, name):
-    if not isinstance(a, Tensor):
-        a, b = b, a
-        bwd_a, bwd_b = bwd_b, bwd_a
-    if isinstance(b, Tensor):
-        try:
-            data = fwd(a.data, b.data)
-        except ValueError:
-            raise ShapeError(name, a.shape, b.shape)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(bwd_a(g, a.data, b.data), a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(bwd_b(g, a.data, b.data), b.shape))
-
-        return _make(data, (a, b), backward)
-    c = _as_const(b, a.data)
+    """An elementwise op of tensor `a` and `b`, which may be a constant: a
+    constant becomes a leaf of `a`'s dtype that takes no gradient."""
+    if not isinstance(b, Tensor):
+        b = Tensor(b, dtype=a.dtype)
     try:
-        data = fwd(a.data, c)
+        data = fwd(a.data, b.data)
     except ValueError:
-        raise ShapeError(name, a.shape, c.shape)
+        raise ShapeError(name, a.shape, b.shape)
 
     def backward(g):
-        a._accumulate(_unbroadcast(bwd_a(g, a.data, c), a.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(bwd_a(g, a.data, b.data), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(bwd_b(g, a.data, b.data), b.shape))
 
-    return _make(data, (a,), backward)
+    return _make(data, (a, b), backward)
 
 
 def add(a, b):
@@ -252,10 +201,7 @@ def tensor_sum(a, axis=None, keepdims=False):
     data = _sum64(a.data, axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.shape))
 

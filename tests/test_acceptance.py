@@ -279,7 +279,7 @@ def test_acceptance_05_embedding_class_affinity(desk_splits, desk_embeddings,
     idx = [i for i, l in enumerate(segs.labels) if len(l) == 1]
     labels = [next(iter(segs.labels[i])) for i in idx]
     h_aff = knn_affinity(h[idx], labels, k=10)
-    x_flat = normalize_x(segs.x[idx])[0].reshape(len(idx), -1)
+    x_flat = normalize_x(segs.x[idx]).reshape(len(idx), -1)
     x_aff = knn_affinity(x_flat, labels, k=10)
     dh = diagonal_consistency(h_aff)
     dx = diagonal_consistency(x_aff)
@@ -339,7 +339,7 @@ def test_acceptance_07_conditioning_liveness(desk_splits, desk_embeddings,
     segs = desk_splits["test"][:32]
     h = desk_embeddings["test"][:32]
     from ecgrecon.reconstruction import normalize_h
-    xs = normalize_x(segs.x)[0]
+    xs = normalize_x(segs.x)
     hh = normalize_h(h, stats.h_mu, stats.h_sigma)
     perm = np.roll(np.arange(len(segs)), 1)
     deltas = []
@@ -382,7 +382,7 @@ def test_acceptance_08_record_reassembly():
     decoders = {}
     for li, lead in enumerate(TARGET_LEADS):
         lk = {x_hat.tobytes(): y[li].astype(np.float64)
-              for x_hat, y in zip(normalize_x(segs.x)[0], segs.y)}
+              for x_hat, y in zip(normalize_x(segs.x), segs.y)}
         decoders[lead] = _WindowLookupDecoder(lk)
     out = reconstruct_record(rec, Encoder(seed=0), decoders, stats)
     truth = np.stack([rec.lead(l) for l in TARGET_LEADS])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ecgrecon.cli import main
+from ecgrecon.dataset import load_vectors, save_vectors
 from ecgrecon.wfdb_io import load_record, write_record
 
 
@@ -174,6 +175,54 @@ def test_embeddings_of_another_split_exit_4(pipeline, tmp_path, capsys, stage, o
                  "--embeddings", str(d["embed"]), *options]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:data: ") and "embeddings_train holds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, options", [
+    ("train", ["--epochs", "1"]), ("train", ["--epochs", "1", "--clean-only"]),
+    ("affinity", ["--split", "train"])])
+def test_embeddings_of_another_width_exit_4(pipeline, tmp_path, capsys, stage, options):
+    """Every embedding store rewritten as [N, 64], the rows of another
+    encoder's width."""
+    d = pipeline
+    embed = tmp_path / "embed"
+    shutil.copytree(d["embed"], embed)
+    for split in ("train", "val", "test"):
+        h, manifest = load_vectors(embed / f"embeddings_{split}")
+        save_vectors(embed / f"embeddings_{split}", h[:, :64], meta=manifest["meta"])
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(d["split"]),
+                 "--embeddings", str(embed), *options]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:data: ") and "not [N, 128]" in err
+    assert not out.exists()
+
+
+def _copy_checkpoint(src, dst):
+    for suffix in (".json", ".f32"):
+        shutil.copyfile(f"{src}{suffix}", f"{dst}{suffix}")
+
+
+@pytest.mark.parametrize("stage, damage", [
+    pytest.param("evaluate", lambda dec, pt: _copy_checkpoint(
+        pt / "encoder.ckpt", dec / "decoder_V1.ckpt"), id="encoder-as-decoder"),
+    pytest.param("embed", lambda dec, pt: _copy_checkpoint(
+        dec / "decoder_V4.ckpt", pt / "encoder.ckpt"), id="decoder-as-encoder"),
+    pytest.param("evaluate", lambda dec, pt: _edit_json(
+        dec / "decoder_V3.ckpt.json", lambda desc: desc["architecture"].update(lead="V5")),
+        id="decoder-of-another-lead"),
+])
+def test_checkpoint_of_the_wrong_model_exit_4(pipeline, tmp_path, capsys, stage, damage):
+    d = pipeline
+    dec, pt = tmp_path / "dec", tmp_path / "pretrain"
+    shutil.copytree(d["dec"], dec)
+    shutil.copytree(d["pretrain"], pt)
+    damage(dec, pt)
+    inputs = {"embed": ["--encoder", str(pt)],
+              "evaluate": ["--encoder", str(pt), "--decoders", str(dec)]}[stage]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(d["split"]), *inputs]) == 4
+    assert capsys.readouterr().err.startswith("error:data: ")
     assert not out.exists()
 
 

@@ -20,22 +20,20 @@ from _utils import finite_diff_check
 
 def test_normalize_x_constant_lead_zeroed():
     x = np.ones((3, 256))
-    x_hat, _, _ = normalize_x(x)
+    x_hat = normalize_x(x)
     np.testing.assert_array_equal(x_hat, 0.0)
 
 
 def test_normalize_x_two_point():
     x = np.tile([0.0, 2.0], 128)[None, :].repeat(3, axis=0)
-    x_hat, mu, sigma = normalize_x(x)
+    x_hat = normalize_x(x)
     np.testing.assert_allclose(x_hat[0, :2], [-1.0, 1.0], atol=1e-6)
-    assert mu[0] == pytest.approx(1.0)
-    assert sigma[0] == pytest.approx(1.0)
 
 
 def test_normalize_x_statistics():
     rng = np.random.default_rng(0)
     x = rng.normal(2.0, 3.0, size=(3, 256))
-    x_hat, _, _ = normalize_x(x)
+    x_hat = normalize_x(x)
     assert abs(x_hat.mean(axis=1)).max() < 1e-5
     assert np.abs(x_hat.std(axis=1) - 1.0).max() < 1e-3
 
@@ -155,7 +153,7 @@ def _reference_train_decoder(lead, train_segments, val_segments, train_embedding
     the per-lead training loop that `train_decoders` replaced."""
     def prep(segments, embeddings):
         li = TARGET_LEADS.index(lead)
-        xs = np.concatenate([normalize_x(x)[0] for x in chunked(segments.x)])
+        xs = np.concatenate([normalize_x(x) for x in chunked(segments.x)])
         ys = segments.y[:, li].astype(np.float64)
         ys = ((ys - stats.y_mu[li]) / (stats.y_sigma[li] + EPS)).astype(np.float32)
         if config.conditioned:
@@ -263,7 +261,7 @@ def test_reconstruct_record_overlap_average():
     # windows start at 0,256,512,744; overlap region 744..767 is the mean
     from ecgrecon.dataset import segment_record_nonoverlap
     segs = segment_record_nonoverlap(rec)
-    vals = normalize_x(segs.x)[0].mean(axis=(1, 2))
+    vals = normalize_x(segs.x).mean(axis=(1, 2))
     np.testing.assert_allclose(out[0, 300], vals[1], atol=1e-5)
     np.testing.assert_allclose(out[0, 750], (vals[2] + vals[3]) / 2.0, atol=1e-5)
 
@@ -312,7 +310,7 @@ def test_reconstruct_record_single_window_identity_round_trip():
     decoders = {}
     for li, lead in enumerate(TARGET_LEADS):
         lk = {}
-        for x_hat, y in zip(normalize_x(segs.x)[0], segs.y):
+        for x_hat, y in zip(normalize_x(segs.x), segs.y):
             lk[x_hat.tobytes()] = y[li].astype(np.float64)
         decoders[lead] = _IdentityDecoder(lk)
     out = reconstruct_record(rec, Encoder(seed=0), decoders, stats)
@@ -325,7 +323,7 @@ def test_conditioning_liveness_after_training():
     config = TrainConfig(max_epochs=3, patience=3, seed=0, batch_size=16)
     result = train_decoders(tr, va, htr, hva, NormStats.fit(tr, htr), config)["V1"]
     n = min(8, len(va))
-    xs = normalize_x(va.x[:n])[0]
+    xs = normalize_x(va.x[:n])
     h_mu, h_sigma = embedding_stats(htr)
     hh = normalize_h(hva[:n], h_mu, h_sigma)
     base = result.model(Tensor(xs), Tensor(hh)).data

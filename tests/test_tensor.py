@@ -247,7 +247,8 @@ def test_graph_without_grad_records_no_closures(tmp_path):
                              Tensor(np.zeros(3)), Tensor(rng.normal(size=(8, 8, 1))),
                              Tensor(np.zeros(8)))
     loss = T.l2_normalize(T.matmul(T.global_avg_pool(out), Tensor(np.ones((8, 2)))))
-    loss = T.tensor_sum(T.exp(loss) * 2.0 - T.log(T.absolute(loss) + 1.0))
+    loss = T.tensor_sum(T.add(T.mul(T.exp(loss), 2.0),
+                              T.mul(T.log(T.add(T.absolute(loss), 1.0)), -1.0)))
     assert _graph_nodes(loss) == [loss]
     assert not loss.requires_grad and loss._backward is None
     # a loaded checkpoint is frozen: its forward records no graph either,
@@ -360,7 +361,7 @@ def test_pass_through_gradients_are_copied():
         a, b, c, d = leaves
         ab = T.tensor_sum(T.mul(T.reshape(T.add(a, b), (6,)), p))
         ac = T.tensor_sum(T.mul(T.add(a, c), q))
-        return ab + ac + T.mul(T.tensor_sum(d), T.tensor_sum(d))
+        return T.add(T.add(ab, ac), T.mul(T.tensor_sum(d), T.tensor_sum(d)))
 
     finite_diff_check(loss, [rng.normal(size=(2, 3)) for _ in range(3)]
                       + [rng.normal(size=4)])
@@ -374,8 +375,9 @@ def test_composite_graph_gradcheck(seed):
 
     def loss(leaves):
         out = T.relu(T.matmul(leaves[0], leaves[1]))
-        out = T.l2_normalize(out + 0.5)
-        return T.mean(T.mul(out, out)) + T.tensor_sum(T.absolute(leaves[0])) * 0.1
+        out = T.l2_normalize(T.add(out, 0.5))
+        return T.add(T.mean(T.mul(out, out)),
+                     T.mul(T.tensor_sum(T.absolute(leaves[0])), 0.1))
 
     finite_diff_check(loss, [x, w])
 
@@ -443,10 +445,67 @@ def test_fused_projection_rejects_mismatched_shapes():
                            z(3, 9, 1), z(3))
 
 
+BINARY_CONSTANTS = {
+    "python-float": 0.3,
+    "0d-array": np.array(-1.7, dtype=np.float32),
+    "row": np.linspace(-1.0, 1.0, 5, dtype=np.float32)[None, :],
+    "full": np.arange(15, dtype=np.float32).reshape(3, 5) / 7,
+    "float64": np.arange(15, dtype=np.float64).reshape(3, 5) / 7 + 1e-9,
+}
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("const", list(BINARY_CONSTANTS))
+def test_binary_op_with_a_constant_operand(op, const):
+    c = BINARY_CONSTANTS[const]
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    g = rng.normal(size=(3, 5)).astype(np.float32)
+    out = getattr(T, op)(x, c)
+    assert out.dtype == x.dtype == np.float32
+    assert out._parents == (x,)
+    T.tensor_sum(T.mul(out, Tensor(g))).backward()
+    want = g if op == "add" else g * np.asarray(c, dtype=np.float32)
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, want)
+    # the same constant as a leaf that takes no gradient
+    leaf = Tensor(c, dtype=np.float32)
+    y = Tensor(x.data, requires_grad=True)
+    out = getattr(T, op)(y, leaf)
+    T.tensor_sum(T.mul(out, Tensor(g))).backward()
+    assert leaf.grad is None
+    np.testing.assert_array_equal(y.grad, want)
+
+
+def test_parents_are_only_tensors_that_take_a_gradient():
+    # every op, with inputs and constants that take no gradient beside
+    # parameters that do
+    rng = np.random.default_rng(0)
+
+    def leaf(*shape, grad=False):
+        return Tensor(rng.normal(size=shape), requires_grad=grad)
+
+    x, h = leaf(2, 3, 8), leaf(2, 4)
+    w, b = leaf(4, 3, 3, grad=True), leaf(4)
+    out = T.conv1d(x, w, b, stride=1, padding=1, relu=True)
+    out = T.concat([T.relu(out), T.broadcast_over_time(h, 8)], axis=1)
+    out = T.fused_projection(out, h, leaf(5, 8, 1, grad=True), leaf(5), leaf(4, 3),
+                             leaf(3, grad=True), leaf(8, 8, 1), leaf(8, grad=True))
+    out = T.matmul(T.global_avg_pool(out), leaf(8, 2))
+    out = T.reshape(T.transpose(T.l2_normalize(out)), (4,))
+    out = T.add(T.mul(T.exp(out), 2.0), T.mul(T.log(T.add(T.absolute(out), 1.0)), leaf(4)))
+    loss = T.mean(T.add(T.power(T.sqrt(T.add(T.mul(out, out), 1.0)), 3.0), leaf(4)))
+    nodes = _graph_nodes(loss)
+    assert len(nodes) > 30
+    for node in nodes:
+        assert all(p.requires_grad for p in node._parents)
+        assert (node._backward is None) == (not node._parents)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        (x * 2.0).backward()
+        T.mul(x, 2.0).backward()
 
 
 def test_reduction_accumulates_in_float64():
