@@ -93,7 +93,8 @@ SETTINGS = {
     "split": (("lo_pct", None, float, 0.1, 0),
               ("hi_pct", None, float, 99.9, None)),
     "pretrain": (("epochs", "--epochs", int, PretrainConfig.epochs, 0),
-                 ("batch_size", "--batch-size", int, PretrainConfig.batch_size, 1),
+                 # a batch of one window holds no positive pair
+                 ("batch_size", "--batch-size", int, PretrainConfig.batch_size, 2),
                  ("lr", None, float, PretrainConfig.lr, 0),
                  ("weight_decay", None, float, PretrainConfig.weight_decay, 0),
                  ("seed", "--seed", int, PretrainConfig.seed, 0)),
@@ -289,8 +290,12 @@ def cmd_preprocess(args, out, settings):
         each record written in turn."""
         if not chunk:
             return
-        cleaned = dsp.clean_signal(np.stack([rec.samples for rec, _ in chunk]),
-                                   chunk[0][0].fs, spec)
+        try:
+            cleaned = dsp.clean_signal(np.stack([rec.samples for rec, _ in chunk]),
+                                       chunk[0][0].fs, spec)
+        except DataError as e:
+            # a chunk shares one rate and length: its first record is the first bad one
+            raise DataError(f"record {chunk[0][0].record_id}: {e}") from None
         for (rec, row), samples in zip(chunk, cleaned):
             write_record(SignalRecord(samples=samples, fs=100.0, lead_names=rec.lead_names,
                                       record_id=rec.record_id, patient_id=row.patient_id,

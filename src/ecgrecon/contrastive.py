@@ -28,12 +28,6 @@ MAX_SHIFT = 10            # largest circular shift (samples)
 
 
 @dataclass
-class ViewPair:
-    view_a: np.ndarray   # [3, T] morphology-centered
-    view_b: np.ndarray   # [3, T] signal-augmented
-
-
-@dataclass
 class PretrainConfig:
     batch_size: int = 128      # view pairs per step; 2x rows enter the loss
     epochs: int = 30
@@ -42,42 +36,42 @@ class PretrainConfig:
     seed: int = 0
 
 
-def recenter_on_peak(x, r_peaks):
-    """Shift the window so the R-peak nearest its midpoint lands at the
-    center sample, reflection-padding the exposed edge."""
-    t = x.shape[1]
-    center = t // 2
-    if not len(r_peaks):
-        return x.copy()
-    peaks = np.asarray(r_peaks)
-    peak = int(peaks[np.argmin(np.abs(peaks - center))])
-    shift = center - peak
-    if shift == 0:
-        return x.copy()
-    pad = abs(shift)
-    padded = np.pad(x, ((0, 0), (pad, pad)), mode="reflect")
-    return padded[:, pad - shift:pad - shift + t].copy()
+def peak_shifts(lead_ii):
+    """One int per window of lead_ii [N, T]: the shift that moves the
+    R peak nearest the window's centre onto the centre sample, 0 where no
+    peak is found."""
+    center = lead_ii.shape[-1] // 2
+    return np.array([center - min(peaks, key=lambda p: abs(p - center)) if peaks else 0
+                     for peaks in detect_r_peaks(lead_ii, fs=100.0)], dtype=np.int64)
 
 
-def augment(x, rng):
-    """Per-lead amplitude scale, Gaussian noise, circular time shift."""
-    scales = rng.uniform(*AMP_RANGE, size=(x.shape[0], 1)).astype(np.float32)
-    shift = int(rng.integers(-MAX_SHIFT, MAX_SHIFT + 1))
-    out = np.roll(x * scales, shift, axis=1)
-    out = out + rng.normal(0.0, NOISE_SIGMA, size=x.shape).astype(np.float32)
-    return out.astype(np.float32)
+def make_views(x, shifts, seeds):
+    """The (morphology-centred, signal-augmented) views of windows
+    x [B, 3, T], interleaved as [2B, 3, T]: row 2i centres window i,
+    row 2i+1 augments it.
 
-
-def make_views(x, r_peaks, seed):
-    """Build the (morphology-centered, signal-augmented) pair for one
-    window x [3, T].
-
-    r_peaks are sample indices relative to the window (lead II).
+    The centred view moves window i by shifts[i] samples (`peak_shifts`),
+    reflecting at the edges as numpy's "reflect" pad does; one reflection
+    suffices while |shift| < T. The augmented view scales each lead,
+    shifts circularly and adds Gaussian noise, all drawn from
+    default_rng(seeds[i]).
     """
-    rng = np.random.default_rng(seed)
-    view_a = recenter_on_peak(x, r_peaks)
-    view_b = augment(x, rng)
-    return ViewPair(view_a=view_a.astype(np.float32), view_b=view_b)
+    b, leads, t = x.shape
+    j = np.arange(t)
+    rows, lead_ix = np.arange(b)[:, None, None], np.arange(leads)[:, None]
+    reflected = (t - 1) - np.abs((t - 1) - np.abs(j - np.asarray(shifts)[:, None]))
+    scales = np.empty((b, leads, 1), dtype=np.float32)
+    rolls = np.empty((b, 1), dtype=np.int64)
+    noise = np.empty((b, leads, t), dtype=np.float32)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        scales[i] = rng.uniform(*AMP_RANGE, size=(leads, 1))
+        rolls[i] = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1)
+        noise[i] = rng.normal(0.0, NOISE_SIGMA, size=(leads, t))
+    views = np.empty((2 * b, leads, t), dtype=np.float32)
+    views[0::2] = x[rows, lead_ix, reflected[:, None]]
+    views[1::2] = (x * scales)[rows, lead_ix, ((j - rolls) % t)[:, None]] + noise
+    return views
 
 
 def _positive_mask(labels):
@@ -148,21 +142,21 @@ def supcon_loss_naive(z, labels, temperature=TEMPERATURE):
 def pretrain(segments, config, log=None):
     """Contrastive pretraining; returns (encoder, projection_head, history).
 
-    Only segments with at least one high-confidence label participate.
+    Only segments with at least one high-confidence label participate;
+    fewer than two is a DataError, as no batch could hold a positive pair.
     Both views of each segment enter the batch as anchors. A step whose
     loss is not finite is a ConfigError: the run has diverged.
     """
     usable = np.flatnonzero([bool(l) for l in segments.labels])
-    if not len(usable):
-        raise DataError("no segments with high-confidence labels for pretraining")
+    if len(usable) < 2:
+        raise DataError(f"pretraining needs at least 2 segments with high-confidence "
+                        f"labels, got {len(usable)}")
     rng = np.random.default_rng(config.seed)
     encoder = Encoder(seed=config.seed)
     head = ProjectionHead(seed=config.seed + 1)
     params = encoder.parameters() + head.parameters()
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-
-    # r-peaks per segment, computed once on lead II (row 1 of x)
-    peak_cache = dict(zip(usable, detect_r_peaks(segments.x[usable, 1], fs=100.0)))
+    shifts = peak_shifts(segments.x[usable, 1])   # R peaks on lead II, found once
 
     history = []
     order = np.arange(len(usable))
@@ -173,16 +167,14 @@ def pretrain(segments, config, log=None):
             rng.shuffle(order)
             epoch_losses = []
             for lo in range(0, len(order), config.batch_size):
-                idx = usable[order[lo:lo + config.batch_size]]
-                if len(idx) < 2:
+                pick = order[lo:lo + config.batch_size]
+                if len(pick) < 2:
                     continue
-                views, labels = [], []
-                for i in idx:
-                    pair = make_views(segments.x[i], peak_cache[i],
-                                      seed=int(rng.integers(0, 2 ** 32)))
-                    views.extend([pair.view_a, pair.view_b])
-                    labels.extend([segments.labels[i]] * 2)
-                z = head(encoder(Tensor(np.stack(views))))
+                idx = usable[pick]
+                views = make_views(segments.x[idx], shifts[pick],
+                                   rng.integers(0, 2 ** 32, size=len(pick)))
+                labels = np.repeat(segments.labels[idx], 2)
+                z = head(encoder(Tensor(views)))
                 loss = supcon_loss(z, labels)
                 if not math.isfinite(loss.item()):
                     raise ConfigError(f"pretrain diverged in epoch {epoch + 1} "

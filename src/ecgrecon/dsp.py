@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage, signal
 
-from .errors import FilterSpecError, UnsupportedRateError
+from .errors import DataError, FilterSpecError, UnsupportedRateError
 
 TARGET_FS = 100.0
 
@@ -68,13 +68,29 @@ def _validate_band(spec, fs):
             f"band edges ({spec.bandpass_low}, {spec.bandpass_high}) invalid for fs={fs}")
 
 
+def _longer_than_pad(x, ntaps, fs):
+    """`x` as float64. scipy's zero-phase filters extend each edge of a
+    row by 3 * ntaps reflected samples, so a row no longer than that is a
+    DataError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] <= 3 * ntaps:
+        raise DataError(f"{x.shape[-1]} samples at {fs:g} Hz, but a zero-phase "
+                        f"filter there needs more than {3 * ntaps}")
+    return x
+
+
+def _sos_taps(sos):
+    """The `ntaps` by which scipy's `sosfiltfilt` sizes its edge pad."""
+    return 2 * len(sos) + 1 - min(np.sum(sos[:, 2] == 0), np.sum(sos[:, 5] == 0))
+
+
 def notch_filter(x, fs, spec=None):
     """Zero-phase biquad notch at spec.notch_freq."""
     spec = spec or FilterSpec()
     if spec.notch_freq >= fs / 2.0:
         raise FilterSpecError(f"notch {spec.notch_freq} Hz >= Nyquist for fs={fs}")
     b, a = signal.iirnotch(spec.notch_freq, spec.notch_q, fs=fs)
-    return signal.filtfilt(b, a, np.asarray(x, dtype=np.float64))
+    return signal.filtfilt(b, a, _longer_than_pad(x, max(len(a), len(b)), fs))
 
 
 def _sos_stable(sos):
@@ -112,7 +128,7 @@ def design_bandpass(fs, spec=None):
 def bandpass_filter(x, fs, spec=None):
     """Zero-phase Butterworth band-pass (cascaded second-order sections)."""
     sos, _, _ = design_bandpass(fs, spec)
-    return signal.sosfiltfilt(sos, np.asarray(x, dtype=np.float64))
+    return signal.sosfiltfilt(sos, _longer_than_pad(x, _sos_taps(sos), fs))
 
 
 def _odd_window(seconds, fs):
@@ -158,7 +174,7 @@ def resample_to_100hz(x, fs_in):
         raise UnsupportedRateError(f"fs_in={fs_in} is not an integer multiple of 100 Hz")
     factor = int(round(factor))
     sos = signal.butter(8, 45.0, btype="low", output="sos", fs=fs_in)
-    y = signal.sosfiltfilt(sos, x)
+    y = signal.sosfiltfilt(sos, _longer_than_pad(x, _sos_taps(sos), fs_in))
     n_out = int(np.floor(x.shape[-1] * TARGET_FS / fs_in))
     return y[..., ::factor][..., :n_out]
 

@@ -173,11 +173,12 @@ class LeadDecoder(Module):
                 "fusion_ch": self.FUSION_CH, "temporal_ch": self.TEMPORAL_CH}
 
 
-# the untrained model of a checkpoint's architecture descriptor, by its type
+# the untrained model of a checkpoint's architecture descriptor `arch`, by
+# its type; `where` names the descriptor in a DataError
 _MODEL_REGISTRY = {
-    "encoder": lambda arch: Encoder(),
-    "projection_head": lambda arch: ProjectionHead(),
-    "lead_decoder": lambda arch: LeadDecoder(lead=arch.get("lead", "V1")),
+    "encoder": lambda arch, where: Encoder(),
+    "projection_head": lambda arch, where: ProjectionHead(),
+    "lead_decoder": lambda arch, where: LeadDecoder(lead=json_field(arch, "lead", str, where)),
 }
 
 
@@ -227,11 +228,12 @@ def load_checkpoint(path):
     if desc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unknown checkpoint format: {desc.get('format')}")
     arch = json_field(desc, "architecture", dict, desc_path)
-    kind = json_field(arch, "type", str, f"{desc_path} architecture")
+    where = f"{desc_path} architecture"
+    kind = json_field(arch, "type", str, where)
     build = _MODEL_REGISTRY.get(kind)
     if build is None:
         raise DataError(f"unknown model type: {kind}")
-    model = build(arch)
+    model = build(arch, where)
     raw = blob_path.read_bytes()
     if len(raw) % 4:
         raise DataError(f"{blob_path}: {len(raw)} bytes, not whole float32 values")

@@ -203,16 +203,24 @@ def _copy_checkpoint(src, dst):
         shutil.copyfile(f"{src}{suffix}", f"{dst}{suffix}")
 
 
-@pytest.mark.parametrize("stage, damage", [
+@pytest.mark.parametrize("stage, damage, says", [
     pytest.param("evaluate", lambda dec, pt: _copy_checkpoint(
-        pt / "encoder.ckpt", dec / "decoder_V1.ckpt"), id="encoder-as-decoder"),
+        pt / "encoder.ckpt", dec / "decoder_V1.ckpt"), "not a LeadDecoder",
+        id="encoder-as-decoder"),
     pytest.param("embed", lambda dec, pt: _copy_checkpoint(
-        dec / "decoder_V4.ckpt", pt / "encoder.ckpt"), id="decoder-as-encoder"),
+        dec / "decoder_V4.ckpt", pt / "encoder.ckpt"), "not an Encoder",
+        id="decoder-as-encoder"),
     pytest.param("evaluate", lambda dec, pt: _edit_json(
         dec / "decoder_V3.ckpt.json", lambda desc: desc["architecture"].update(lead="V5")),
-        id="decoder-of-another-lead"),
+        "lead 'V5', not V3", id="decoder-of-another-lead"),
+    pytest.param("evaluate", lambda dec, pt: _edit_json(
+        dec / "decoder_V1.ckpt.json", lambda desc: desc["architecture"].pop("lead")),
+        "decoder_V1.ckpt.json architecture: 'lead' is missing", id="decoder-V1-without-lead"),
+    pytest.param("evaluate", lambda dec, pt: _edit_json(
+        dec / "decoder_V3.ckpt.json", lambda desc: desc["architecture"].pop("lead")),
+        "decoder_V3.ckpt.json architecture: 'lead' is missing", id="decoder-V3-without-lead"),
 ])
-def test_checkpoint_of_the_wrong_model_exit_4(pipeline, tmp_path, capsys, stage, damage):
+def test_checkpoint_of_the_wrong_model_exit_4(pipeline, tmp_path, capsys, stage, damage, says):
     d = pipeline
     dec, pt = tmp_path / "dec", tmp_path / "pretrain"
     shutil.copytree(d["dec"], dec)
@@ -222,7 +230,8 @@ def test_checkpoint_of_the_wrong_model_exit_4(pipeline, tmp_path, capsys, stage,
               "evaluate": ["--encoder", str(pt), "--decoders", str(dec)]}[stage]
     out = tmp_path / "o"
     assert main([stage, "--out", str(out), "--data", str(d["split"]), *inputs]) == 4
-    assert capsys.readouterr().err.startswith("error:data: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error:data: ") and says in err
     assert not out.exists()
 
 
@@ -274,6 +283,7 @@ def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("stage, options, config", [
     pytest.param("pretrain", ["--batch-size", "0"], None, id="pretrain-batch-size-0"),
+    pytest.param("pretrain", ["--batch-size", "1"], None, id="pretrain-batch-size-1"),
     pytest.param("pretrain", [], {"pretrain": {"lr": "fast"}}, id="pretrain-lr-text"),
     pytest.param("train", ["--batch-size", "0"], None, id="train-batch-size-0"),
     pytest.param("train", ["--epochs", "0"], None, id="train-epochs-0"),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ecgrecon import tensor as T
-from ecgrecon.contrastive import (PretrainConfig, embed_all, make_views,
-                                  pretrain, recenter_on_peak, supcon_loss,
-                                  supcon_loss_naive)
+from ecgrecon.contrastive import (AMP_RANGE, MAX_SHIFT, NOISE_SIGMA, PretrainConfig,
+                                  embed_all, make_views, peak_shifts, pretrain,
+                                  supcon_loss, supcon_loss_naive)
 from ecgrecon.dataset import Segments, segment_record
 from ecgrecon.errors import DataError
 from ecgrecon.nn import Encoder
@@ -22,23 +22,29 @@ def _pulse_window(peak=100):
     return x
 
 
+def _views(x, shift, seed):
+    """(centred, augmented) views of one window x [3, T]."""
+    views = make_views(x[None], [shift], [seed])
+    return views[0], views[1]
+
+
 def test_recenter_moves_peak_to_128():
     x = _pulse_window(peak=100)
-    pair = make_views(x, [100], seed=0)
-    assert int(np.argmax(pair.view_a[1])) == 128
+    centred, _ = _views(x, 28, seed=0)
+    assert int(np.argmax(centred[1])) == 128
     # content shifted right by 28 samples
-    np.testing.assert_allclose(pair.view_a[1][128], x[1][100], atol=1e-6)
+    np.testing.assert_allclose(centred[1][128], x[1][100], atol=1e-6)
 
 
 def test_recenter_no_peaks_fallback():
     x = _pulse_window()
-    pair = make_views(x, [], seed=0)
-    np.testing.assert_array_equal(pair.view_a, x)
+    centred, _ = _views(x, 0, seed=0)
+    np.testing.assert_array_equal(centred, x)
 
 
 def test_recenter_reflection_padding():
     x = _pulse_window(peak=10)
-    out = recenter_on_peak(x, [10])
+    out, _ = _views(x, 118, seed=0)
     # the true peak lands at 128 (a reflected copy of equal height may also
     # appear in the padded region, so check the value rather than argmax)
     np.testing.assert_allclose(out[1][128], x[1][10], atol=1e-6)
@@ -48,11 +54,69 @@ def test_recenter_reflection_padding():
 
 def test_augmented_view_deterministic():
     x = _pulse_window()
-    a = make_views(x, [100], seed=123).view_b
-    b = make_views(x, [100], seed=123).view_b
+    _, a = _views(x, 28, seed=123)
+    _, b = _views(x, 28, seed=123)
     np.testing.assert_array_equal(a, b)
-    c = make_views(x, [100], seed=124).view_b
+    _, c = _views(x, 28, seed=124)
     assert not np.array_equal(a, c)
+
+
+def _recenter_on_peak_one(x, r_peaks):
+    """Reference: shift one window x [3, T] so the R peak nearest its
+    midpoint lands at the centre sample, reflection-padding the edge."""
+    t = x.shape[1]
+    center = t // 2
+    if not len(r_peaks):
+        return x.copy()
+    peaks = np.asarray(r_peaks)
+    shift = center - int(peaks[np.argmin(np.abs(peaks - center))])
+    if shift == 0:
+        return x.copy()
+    pad = abs(shift)
+    padded = np.pad(x, ((0, 0), (pad, pad)), mode="reflect")
+    return padded[:, pad - shift:pad - shift + t].copy()
+
+
+def _augment_one(x, rng):
+    """Reference: per-lead amplitude scale, circular time shift, noise."""
+    scales = rng.uniform(*AMP_RANGE, size=(x.shape[0], 1)).astype(np.float32)
+    shift = int(rng.integers(-MAX_SHIFT, MAX_SHIFT + 1))
+    out = np.roll(x * scales, shift, axis=1)
+    out = out + rng.normal(0.0, NOISE_SIGMA, size=x.shape).astype(np.float32)
+    return out.astype(np.float32)
+
+
+def test_batch_views_equal_window_by_window_views_bit_for_bit():
+    """Every window's pair equals the per-window reference, stacked as
+    (centred, augmented) in window order, over 256 seeds, peak lists that
+    give shifts of -127, 0 and +128, no peak and several peaks."""
+    rng = np.random.default_rng(3)
+    peak_lists = [[255], [128], [0], [], [40, 130, 200], [20, 120, 136, 250],
+                  [60, 196], [127, 129]]
+    for _ in range(24):
+        peak_lists.append(sorted(rng.choice(256, size=int(rng.integers(0, 4)),
+                                            replace=False).tolist()))
+    x = rng.normal(size=(len(peak_lists), 3, 256)).astype(np.float32)
+    shifts = np.array([128 - min(p, key=lambda q: abs(q - 128)) if p else 0
+                       for p in peak_lists])
+    assert {-127, 0, 128} <= set(shifts.tolist())
+    seeds = np.random.default_rng(4).integers(0, 2 ** 32, size=8 * len(x))
+    for batch in np.split(seeds, 8):
+        want = []
+        for xi, peaks, seed in zip(x, peak_lists, batch):
+            want += [_recenter_on_peak_one(xi, peaks).astype(np.float32),
+                     _augment_one(xi, np.random.default_rng(seed))]
+        got = make_views(x, shifts, batch)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, np.stack(want))
+
+
+def test_peak_shifts_take_the_peak_nearest_the_centre():
+    x = np.zeros((3, 256))
+    t = np.arange(256)
+    for peak in (60, 140, 230):
+        x[0] += np.exp(-0.5 * ((t - peak) / 2.0) ** 2)
+    np.testing.assert_array_equal(peak_shifts(x), [128 - 140, 0, 0])
 
 
 def test_supcon_b2_shared_label_exact_zero():
@@ -165,6 +229,18 @@ def test_pretrain_requires_labels():
                          labels=[frozenset()] * len(segs))
     with pytest.raises(DataError, match="high-confidence"):
         pretrain(unlabeled, PretrainConfig(epochs=1))
+
+
+def test_pretrain_refuses_one_labelled_window():
+    """One labelled window makes one-window batches, which hold no pair:
+    a run would train nothing."""
+    segs = _mini_segments()[:10]
+    labels = [frozenset()] * len(segs)
+    labels[3] = frozenset({"A"})
+    one = Segments(w=segs.w, record_id=segs.record_id, start=segs.start,
+                   fold=segs.fold, labels=labels)
+    with pytest.raises(DataError, match="at least 2 segments .* got 1"):
+        pretrain(one, PretrainConfig(epochs=1))
 
 
 def test_embed_deterministic_and_permutation_equivariant():

@@ -9,7 +9,7 @@ from ecgrecon.cli import main
 from ecgrecon.dsp import (FilterSpec, bandpass_filter, baseline_remove,
                           clean_signal, design_bandpass, detect_r_peaks,
                           notch_filter, resample_to_100hz)
-from ecgrecon.errors import FilterSpecError, UnsupportedRateError
+from ecgrecon.errors import DataError, FilterSpecError, UnsupportedRateError
 from ecgrecon.synth import builtin_class_specs, generate_record
 from ecgrecon.wfdb_io import SignalRecord, load_record, write_record
 
@@ -163,6 +163,33 @@ def test_preprocess_fails_on_the_first_bad_record_as_record_by_record(tmp_path, 
     (raw / "records" / "R2.dat").unlink()
     assert main(["preprocess", "--out", str(tmp_path / "pre"), "--data", str(raw)]) == 2
     assert "invalid for fs=50.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fs", [100.0, 500.0])
+def test_preprocess_short_record_exit_4_naming_the_first(tmp_path, capsys, fs):
+    """A record of 27 samples is no longer than the band-pass's edge pad:
+    a data error that names it. R2, as short and of the same rate, also
+    lacks its signal file; R1 is cleaned first, so R1 is the one named."""
+    raw = tmp_path / "raw"
+    _mixed_rate_corpus(raw, [(fs, 10.0), (fs, 27 / fs), (fs, 27 / fs)])
+    (raw / "records" / "R2.dat").unlink()
+    assert main(["preprocess", "--out", str(tmp_path / "pre"), "--data", str(raw)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:data: record R1: 27 samples") and "R2" not in err
+
+
+@pytest.mark.parametrize("fs, n, ok", [(100.0, 27, False), (100.0, 28, True),
+                                       (500.0, 9, False), (500.0, 27, False),
+                                       (500.0, 28, True), (100.0, 1, False)])
+def test_clean_signal_needs_more_samples_than_the_edge_pad(fs, n, ok):
+    """Each zero-phase filter (a 3-tap notch at 500 Hz, the 9-tap band-pass
+    and anti-alias cascades) pads an edge with three times its taps."""
+    x = np.random.default_rng(0).normal(size=(8, n))
+    if ok:
+        assert clean_signal(x, fs).shape == (8, n * 100 // int(fs))
+    else:
+        with pytest.raises(DataError, match=f"{n} samples at {fs:g} Hz"):
+            clean_signal(x, fs)
 
 
 def test_preprocess_designs_notch_and_anti_alias_once_per_chunk(tmp_path, monkeypatch):
