@@ -19,7 +19,7 @@ import math
 import shutil
 import sys
 import uuid
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -222,12 +222,12 @@ def _log(line):
 
 
 def cmd_synth(args, out, settings):
-    if args.class_specs:
-        specs = load_class_specs(args.class_specs)
-    else:
-        specs = builtin_class_specs()[:settings["classes"]]
+    specs = (load_class_specs(args.class_specs) if args.class_specs
+             else builtin_class_specs()[:settings["classes"]])
     if not specs:
         raise ConfigError("need at least one class spec")
+    if not args.class_specs and len(specs) < settings["classes"]:
+        raise ConfigError(f"classes {settings['classes']} exceeds the {len(specs)} built-in specs")
     records = generate_corpus(specs, n_patients_per_class=settings["patients"],
                               records_per_patient=settings["records_per_patient"],
                               seed=settings["seed"], duration=settings["duration"])
@@ -297,18 +297,26 @@ def cmd_preprocess(args, out, settings):
             # a chunk shares one rate and length: its first record is the first bad one
             raise DataError(f"record {chunk[0][0].record_id}: {e}") from None
         for (rec, row), samples in zip(chunk, cleaned):
-            write_record(SignalRecord(samples=samples, fs=100.0, lead_names=rec.lead_names,
-                                      record_id=rec.record_id, patient_id=row.patient_id,
-                                      labels=row.labels, fold=row.fold), clean_dir)
+            try:
+                write_record(SignalRecord(samples=samples, fs=100.0, lead_names=rec.lead_names,
+                                          record_id=rec.record_id, patient_id=row.patient_id,
+                                          labels=row.labels, fold=row.fold), clean_dir)
+            except ValueError as exc:   # e.g. samples beyond the int16 writer's range
+                raise DataError(f"{exc} after cleaning") from None
         chunk.clear()
 
+    ecg_id_of = {}  # record id -> ecg_id of the row that holds it
     for ecg_id, row in meta.rows.items():
         try:
             rec = load_record(data_dir / (row.filename_lr + ".hea"),
                               verify_checksum=settings["verify_checksums"])
+            if rec.record_id in ecg_id_of:
+                raise DataError(f"record {rec.record_id} is named by the rows of ecg_id "
+                                f"{ecg_id_of[rec.record_id]} and {ecg_id}")
         except Exception:
             clean_chunk()   # an earlier record's error comes first, as record by record
             raise
+        ecg_id_of[rec.record_id] = ecg_id
         rates.add(rec.fs)
         first = chunk[0][0] if chunk else rec
         if (rec.fs != first.fs or rec.samples.shape != first.samples.shape
@@ -467,7 +475,6 @@ def cmd_train(args, out, settings):
     results = train_decoders(train_segs, val_segs, h_train, h_val, stats, tc,
                              log=_log)
     save_decoders(out, results, stats)
-    (out / "norm_stats.json").write_text(json.dumps(stats.to_dict()))
     settings["conditioned"] = tc.conditioned
     return ({"best_val_loss": {l: r.best_val_loss for l, r in results.items()}},
             "train: " + ", ".join(f"{l} val={r.best_val_loss:.5f}"
@@ -476,33 +483,25 @@ def cmd_train(args, out, settings):
 
 def _load_decoders(decoder_dir):
     """(decoders by lead, NormStats, conditioned flag) of a `train` output
-    directory that holds every target lead."""
+    directory that holds every target lead's checkpoint and the set's
+    statistics, `norm_stats.json`."""
     path = Path(decoder_dir)
     manifest = require_manifest(path)
-    decoders, stats = {}, None
+    stats_path = path / "norm_stats.json"
+    needed = [path / f"decoder_{l}.ckpt.json" for l in TARGET_LEADS] + [stats_path]
+    missing = [p.name for p in needed if not p.exists()]
+    if missing:
+        raise DependencyError(f"missing {missing} under {decoder_dir}")
+    stats = NormStats.from_dict(read_json(stats_path, dict), stats_path)
+    decoders = {}
     for lead in TARGET_LEADS:
         ckpt = path / f"decoder_{lead}.ckpt"
-        if not (path / f"decoder_{lead}.ckpt.json").exists():
-            continue
-        model, extra = load_checkpoint(ckpt)
+        model, _ = load_checkpoint(ckpt)
         if not isinstance(model, LeadDecoder):
             raise DataError(f"{ckpt}: holds a {type(model).__name__}, not a LeadDecoder")
         if model.lead != lead:
             raise DataError(f"{ckpt}: holds the decoder of lead {model.lead!r}, not {lead}")
         decoders[lead] = model
-        if extra is not None and not isinstance(extra, dict):
-            raise DataError(f"{ckpt}: checkpoint 'extra' is not a JSON object")
-        if extra and "norm_stats" in extra:
-            stats = NormStats.from_dict(extra["norm_stats"], f"{ckpt} extra 'norm_stats'")
-    missing = [l for l in TARGET_LEADS if l not in decoders]
-    if missing:
-        raise DependencyError(f"missing decoder checkpoints for {missing} "
-                              f"under {decoder_dir}")
-    if stats is None:
-        stats_path = path / "norm_stats.json"
-        if not stats_path.exists():
-            raise DependencyError(f"missing norm_stats under {decoder_dir}")
-        stats = NormStats.from_dict(read_json(stats_path, dict), stats_path)
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise DependencyError(f"{path / 'manifest.json'}: 'config' is not a JSON object")
@@ -554,7 +553,7 @@ def cmd_evaluate(args, out, settings):
     if not records:
         raise DataError("no test records to evaluate")
     report = evaluate_model(records, encoder, decoders, stats, conditioned=conditioned)
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=1))
+    (out / "report.json").write_text(json.dumps(asdict(report), indent=1))
     lines = ["lead,level,rmse,rmse_sem,r2,pearson,n"]
     for level, metrics in (("segment", report.segment_metrics),
                            ("record", report.record_metrics)):
@@ -576,7 +575,7 @@ def cmd_evaluate(args, out, settings):
         rows = comparison_table(base_report, report)
         (out / "comparison.csv").write_text(comparison_csv(rows))
         (out / "baseline_report.json").write_text(
-            json.dumps(base_report.to_dict(), indent=1))
+            json.dumps(asdict(base_report), indent=1))
     return (None, f"evaluate: mean segment RMSE {report.mean_segment_rmse:.4f} mV")
 
 

@@ -157,15 +157,6 @@ class EvaluationReport:
     per_class_rmse: dict = field(default_factory=dict)    # class -> lead -> rmse
     mean_segment_rmse: float = 0.0
 
-    def to_dict(self):
-        def lm(m):
-            return {k: getattr(m, k) for k in
-                    ("lead", "rmse", "r2", "pearson", "n", "level", "rmse_sem")}
-        return {"segment_metrics": {k: lm(v) for k, v in self.segment_metrics.items()},
-                "record_metrics": {k: lm(v) for k, v in self.record_metrics.items()},
-                "per_class_rmse": self.per_class_rmse,
-                "mean_segment_rmse": self.mean_segment_rmse}
-
 
 def evaluate_model(records, encoder, decoders, stats, conditioned=True):
     """Segment-level metrics over non-overlapping test segments plus

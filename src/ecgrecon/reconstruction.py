@@ -8,14 +8,16 @@ per-lead statistics, which also drive denormalization at inference.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .dataset import TARGET_LEADS, chunked, segment_record_nonoverlap
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_finite
 from .nn import (Encoder, LeadDecoder, get_parameter_vector, save_checkpoint,
                  set_parameter_vector)
 from .optim import AdamW
@@ -214,12 +216,11 @@ class NormStats:
         return cls(h_mu=h_mu, h_sigma=h_sigma, y_mu=y_mu, y_sigma=y_sigma)
 
     @classmethod
-    def from_dict(cls, d, where="norm_stats"):
-        """Statistics from upstream JSON `d`, an object holding a list of
-        numbers per statistic: Encoder.EMBED_DIM for h_*, one per target
-        lead for y_*. Anything else is a DataError naming `where`."""
-        if not isinstance(d, dict):
-            raise DataError(f"{where} is not a JSON object")
+    def from_dict(cls, d, where):
+        """Statistics from the JSON object `d` read from `where`, which
+        holds a list of finite numbers per statistic: Encoder.EMBED_DIM
+        for h_*, one per target lead for y_*. Anything else is a DataError
+        naming `where` and the statistic."""
         stats = {}
         for k in ("h_mu", "h_sigma", "y_mu", "y_sigma"):
             try:
@@ -229,6 +230,7 @@ class NormStats:
             size = Encoder.EMBED_DIM if k[0] == "h" else len(TARGET_LEADS)
             if stats[k].shape != (size,):
                 raise DataError(f"{where}: {k!r} is not a list of {size} numbers")
+            require_finite(stats[k], f"{where} {k!r}")
         return cls(**stats)
 
 
@@ -271,9 +273,12 @@ def reconstruct_record(rec, encoder, decoders, stats, conditioned=True):
 
 
 def save_decoders(out_dir, results, stats):
+    """The decoder set under `out_dir`: one checkpoint per lead and
+    `norm_stats.json`, the statistics the set is read with."""
     for lead, res in results.items():
         save_checkpoint(f"{out_dir}/decoder_{lead}.ckpt", res.model,
                         extra={"best_epoch": res.best_epoch,
                                "best_val_loss": res.best_val_loss,
                                "history": res.history,
                                "norm_stats": stats.to_dict()})
+    Path(out_dir, "norm_stats.json").write_text(json.dumps(stats.to_dict()))

@@ -294,7 +294,8 @@ def parse_ptbxl_metadata(csv_text, scp_csv_text):
     """Parse PTB-XL database + statements CSVs.
 
     Returns a MetadataResult: rows keyed by ecg_id, plus a report of
-    skipped rows (unparseable scp_codes literals).
+    skipped rows (unparseable scp_codes literals). An ecg_id on two rows
+    is a DataError naming both.
     """
     class_of = _parse_scp_statements(scp_csv_text)
     reader = csv.DictReader(io.StringIO(csv_text))
@@ -303,9 +304,12 @@ def parse_ptbxl_metadata(csv_text, scp_csv_text):
     missing = required - have
     if missing:
         raise SchemaError(f"metadata CSV missing columns: {sorted(missing)}")
-    rows, errors = {}, []
+    rows, errors, line_of = {}, [], {}
     for i, row in enumerate(reader, start=2):
         ecg_id = row["ecg_id"]
+        if ecg_id in line_of:
+            raise DataError(f"ecg_id {ecg_id} is on rows {line_of[ecg_id]} and {i}")
+        line_of[ecg_id] = i
         try:
             codes = ast.literal_eval(row["scp_codes"])
             if not isinstance(codes, dict):

@@ -281,6 +281,60 @@ def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
     assert err.startswith("error:data:") and dat.name in err
 
 
+def _corpus_rows(d, tmp_path, edit):
+    """A copy of the corpus whose database.csv lines (header first) are
+    edited in place by `edit`; returns (corpus, the lines as they were)."""
+    raw = tmp_path / "raw"
+    shutil.copytree(d["raw"], raw)
+    lines = (raw / "database.csv").read_text().splitlines()
+    edited = list(lines)
+    edit(edited)
+    (raw / "database.csv").write_text("\n".join(edited) + "\n")
+    return raw, lines
+
+
+def _preprocess_refuses(raw, tmp_path, capsys, *fragments):
+    out = tmp_path / "o"
+    assert main(["preprocess", "--out", str(out), "--data", str(raw)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and all(f in err for f in fragments), err
+    assert not out.exists()
+    return err
+
+
+def test_preprocess_repeated_ecg_id_exit_4(pipeline, tmp_path, capsys):
+    # the last row takes the first row's ecg_id, under its own record
+    raw, lines = _corpus_rows(pipeline, tmp_path, lambda rows: rows.__setitem__(
+        -1, rows[1].split(",")[0] + "," + rows[-1].split(",", 1)[1]))
+    first_id = lines[1].split(",")[0]
+    _preprocess_refuses(raw, tmp_path, capsys, f"ecg_id {first_id} is on rows 2 and "
+                                               f"{len(lines)}")
+
+
+def test_preprocess_two_rows_of_one_record_exit_4(pipeline, tmp_path, capsys):
+    # the third row's filename_lr names the second row's record
+    raw, lines = _corpus_rows(pipeline, tmp_path, lambda rows: rows.__setitem__(
+        3, rows[3].rsplit(",", 1)[0] + "," + rows[2].rsplit(",", 1)[1]))
+    second, third = (lines[i].split(",")[0] for i in (2, 3))
+    _preprocess_refuses(raw, tmp_path, capsys,
+                        f"record {second} is named by the rows of ecg_id {second} and {third}")
+
+
+def test_preprocess_record_beyond_the_int16_writer_exit_4_naming_the_first(
+        pipeline, tmp_path, capsys):
+    """At a gain of 10 adc units per mV the cleaned samples pass +-32.767
+    mV, which the cleaned record's int16 samples cannot hold."""
+    raw = tmp_path / "raw"
+    shutil.copytree(pipeline["raw"], raw)
+    lines = (raw / "database.csv").read_text().splitlines()
+    first, second = (lines[i].split(",")[0] for i in (3, 5))
+    for record_id in (first, second):
+        hea = raw / "records" / f"{record_id}.hea"
+        hea.write_text(hea.read_text().replace(" 1000(0)/mV ", " 10(0)/mV "))
+    err = _preprocess_refuses(raw, tmp_path, capsys, first, "int16")
+    assert second not in err
+
+
 @pytest.mark.parametrize("stage, options, config", [
     pytest.param("pretrain", ["--batch-size", "0"], None, id="pretrain-batch-size-0"),
     pytest.param("pretrain", ["--batch-size", "1"], None, id="pretrain-batch-size-1"),
@@ -296,18 +350,22 @@ def test_missing_signal_file_exit_4(pipeline, tmp_path, capsys):
     pytest.param("train", ["--patience", "-3"], None, id="train-patience-negative"),
     pytest.param("train", [], {"train": {"patience": 0}}, id="train-patience-0"),
     pytest.param("train", [], {"train": {"conditioned": False}}, id="train-conditioned-key"),
+    # four built-in class specs
+    pytest.param("synth", ["--classes", "5", "--patients", "1", "--records", "1",
+                           "--duration", "1"], None, id="synth-classes-above-builtin"),
 ])
 def test_bad_stage_setting_exit_2(pipeline, tmp_path, capsys, stage, options, config):
     d = pipeline
-    inputs = {"pretrain": [], "train": ["--embeddings", str(d["embed"])],
-              "affinity": ["--embeddings", str(d["embed"])]}[stage]
+    split = ["--data", str(d["split"])]
+    inputs = {"synth": [], "pretrain": split,
+              "train": [*split, "--embeddings", str(d["embed"])],
+              "affinity": [*split, "--embeddings", str(d["embed"])]}[stage]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         options = options + ["--config", str(path)]
     out = tmp_path / "o"
-    assert main([stage, "--out", str(out), "--data", str(d["split"]),
-                 *inputs, *options]) == 2
+    assert main([stage, "--out", str(out), *inputs, *options]) == 2
     assert capsys.readouterr().err.startswith("error:config:")
     assert not (out / "manifest.json").exists()
 
@@ -635,15 +693,6 @@ def test_unreadable_json_input_exit_4(pipeline, tmp_path, capsys, stage, damaged
     assert not out.exists()
 
 
-def _drop_norm_stats_extra(dec):
-    """Decoder checkpoints without the norm_stats copy, so that loading the
-    decoder set reads `norm_stats.json`."""
-    for path in dec.glob("decoder_*.ckpt.json"):
-        desc = json.loads(path.read_text())
-        del desc["extra"]["norm_stats"]
-        path.write_text(json.dumps(desc))
-
-
 @pytest.mark.parametrize("stage, damaged, content, code", [
     pytest.param("embed", "split/segments_train.manifest.json", "[]", 4,
                  id="store-manifest"),
@@ -660,7 +709,6 @@ def test_json_input_of_wrong_type_exit(pipeline, tmp_path, capsys, stage, damage
     d = pipeline
     for name in ("pre", "split", "dec"):
         shutil.copytree(d[name], tmp_path / name)
-    _drop_norm_stats_extra(tmp_path / "dec")
     (tmp_path / damaged).write_text(content)
     inputs = {"embed": ["--data", str(tmp_path / "split"), "--encoder", str(d["pretrain"])],
               "split": ["--data", str(tmp_path / "pre")],
@@ -715,25 +763,52 @@ def test_bad_splits_records_exit_4(pipeline, tmp_path, capsys, edit):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda desc: desc.update(extra=5), id="extra-not-object"),
-    pytest.param(lambda desc: desc["extra"].update(norm_stats=5), id="stats-not-object"),
-    pytest.param(lambda desc: desc["extra"]["norm_stats"].pop("y_mu"), id="stats-missing-key"),
-    pytest.param(lambda desc: desc["extra"]["norm_stats"].update(
-        h_mu=["x"] * len(desc["extra"]["norm_stats"]["h_mu"])), id="stats-strings"),
-    pytest.param(lambda desc: desc["extra"]["norm_stats"].update(
-        h_mu=desc["extra"]["norm_stats"]["h_mu"][:3]), id="stats-short"),
+def _set_first(key, value):
+    """An edit of norm_stats.json that sets the first number of `key`."""
+    return lambda stats: stats[key].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("stage, edit, says", [
+    pytest.param("evaluate", lambda stats: stats.pop("y_mu"), "'y_mu' is missing",
+                 id="stats-missing-key"),
+    pytest.param("evaluate", lambda stats: stats.update(h_mu=["x"] * len(stats["h_mu"])),
+                 "'h_mu' is missing or not numbers", id="stats-strings"),
+    pytest.param("evaluate", lambda stats: stats.update(h_mu=stats["h_mu"][:3]),
+                 "'h_mu' is not a list of 128 numbers", id="stats-short"),
+    *[pytest.param(stage, _set_first(key, value), f"norm_stats.json {key!r}: 1 non-finite",
+                   id=f"stats-{label}-{stage}")
+      for stage in ("evaluate", "reconstruct")
+      for label, key, value in (("nan", "h_sigma", float("nan")),
+                                ("inf", "y_mu", float("inf")))],
 ])
-def test_bad_checkpoint_extra_exit_4(pipeline, tmp_path, capsys, edit):
+def test_bad_norm_stats_exit_4(pipeline, tmp_path, capsys, stage, edit, says):
     d = pipeline
     dec = tmp_path / "dec"
     shutil.copytree(d["dec"], dec)
-    _edit_json(dec / "decoder_V4.ckpt.json", edit)
+    _edit_json(dec / "norm_stats.json", edit)
     out = tmp_path / "o"
-    assert main(["evaluate", "--out", str(out), "--data", str(d["split"]), "--encoder",
+    assert main([stage, "--out", str(out), "--data", str(d["split"]), "--encoder",
                  str(d["pretrain"]), "--decoders", str(dec)]) == 4
-    assert capsys.readouterr().err.startswith("error:data:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and says in err
     assert not out.exists()
+
+
+def test_decoder_set_statistics_come_from_norm_stats_json(pipeline, tmp_path):
+    """The checkpoints' copies of the statistics are not read: with every
+    copy's y_sigma doubled, evaluate writes the report of the untouched set."""
+    d = pipeline
+    dec = tmp_path / "dec"
+    shutil.copytree(d["dec"], dec)
+    for path in dec.glob("decoder_*.ckpt.json"):
+        _edit_json(path, lambda desc: desc["extra"]["norm_stats"].update(
+            y_sigma=[2 * v for v in desc["extra"]["norm_stats"]["y_sigma"]]))
+    reports = []
+    for name, decoders in (("want", d["dec"]), ("got", dec)):
+        assert main(["evaluate", "--out", str(tmp_path / name), "--data", str(d["split"]),
+                     "--encoder", str(d["pretrain"]), "--decoders", str(decoders)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("stage, damaged, edit", [

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -232,7 +234,7 @@ def test_comparison_csv_has_header_and_rows():
 
 def test_report_round_trip_dict():
     rep = _fake_report({"V1": 0.2, "V3": 0.1})
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["mean_segment_rmse"] == pytest.approx(0.15)
     assert set(d["segment_metrics"]) == {"V1", "V3"}
     assert d["per_class_rmse"]["NORM"]["V1"] == 0.2
@@ -412,5 +414,5 @@ def test_evaluate_model_equals_per_window_scalar_report():
     # one flat target window (r2 and pearson undefined), and one flat
     # prediction per record and lead (pearson undefined)
     assert undefined == {"r2": 1, "pearson": 1 + 4 * len(TARGET_LEADS)}
-    assert got.to_dict() == want.to_dict()
+    assert asdict(got) == asdict(want)
     assert set(got.per_class_rmse) == {"NORM", "TALLR"}
