@@ -764,16 +764,18 @@ def test_bad_splits_records_exit_4(pipeline, tmp_path, capsys, edit):
 
 
 def _set_first(key, value):
-    """An edit of norm_stats.json that sets the first number of `key`."""
-    return lambda stats: stats[key].__setitem__(0, value)
+    """The statistics with the first number of `key` set to `value`."""
+    return lambda stats: {**stats, key: [value, *stats[key][1:]]}
 
 
 @pytest.mark.parametrize("stage, edit, says", [
-    pytest.param("evaluate", lambda stats: stats.pop("y_mu"), "'y_mu' is missing",
-                 id="stats-missing-key"),
-    pytest.param("evaluate", lambda stats: stats.update(h_mu=["x"] * len(stats["h_mu"])),
+    pytest.param("evaluate", lambda stats: [stats], "top level is not a JSON object",
+                 id="stats-not-object"),
+    pytest.param("evaluate", lambda stats: {k: v for k, v in stats.items() if k != "y_mu"},
+                 "'y_mu' is missing", id="stats-missing-key"),
+    pytest.param("evaluate", lambda stats: {**stats, "h_mu": ["x"] * len(stats["h_mu"])},
                  "'h_mu' is missing or not numbers", id="stats-strings"),
-    pytest.param("evaluate", lambda stats: stats.update(h_mu=stats["h_mu"][:3]),
+    pytest.param("evaluate", lambda stats: {**stats, "h_mu": stats["h_mu"][:3]},
                  "'h_mu' is not a list of 128 numbers", id="stats-short"),
     *[pytest.param(stage, _set_first(key, value), f"norm_stats.json {key!r}: 1 non-finite",
                    id=f"stats-{label}-{stage}")
@@ -782,10 +784,12 @@ def _set_first(key, value):
                                 ("inf", "y_mu", float("inf")))],
 ])
 def test_bad_norm_stats_exit_4(pipeline, tmp_path, capsys, stage, edit, says):
+    """`edit` maps the statistics to what norm_stats.json is made to hold."""
     d = pipeline
     dec = tmp_path / "dec"
     shutil.copytree(d["dec"], dec)
-    _edit_json(dec / "norm_stats.json", edit)
+    stats_path = dec / "norm_stats.json"
+    stats_path.write_text(json.dumps(edit(json.loads(stats_path.read_text()))))
     out = tmp_path / "o"
     assert main([stage, "--out", str(out), "--data", str(d["split"]), "--encoder",
                  str(d["pretrain"]), "--decoders", str(dec)]) == 4
