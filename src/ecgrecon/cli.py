@@ -537,7 +537,11 @@ def cmd_reconstruct(args, out, settings):
                                lead_names=list(TARGET_LEADS),
                                record_id=f"{rec.record_id}-recon",
                                patient_id=rec.patient_id)
-        write_record(out_rec, rec_dir)
+        try:
+            write_record(out_rec, rec_dir)
+        except ValueError as exc:   # e.g. samples beyond the int16 writer's range
+            raise DataError(f"record {rec.record_id} as reconstructed by decoder set "
+                            f"{args.decoders}: {exc}") from None
         truth = np.stack([rec.lead(l) for l in TARGET_LEADS])
         sidecar[rec.record_id] = {
             lead: rmse(recon[i], truth[i]) for i, lead in enumerate(TARGET_LEADS)}

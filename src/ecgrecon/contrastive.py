@@ -120,25 +120,6 @@ def supcon_loss(z, labels, temperature=TEMPERATURE):
     return T.tensor_sum(T.mul(per_anchor, weights))
 
 
-def supcon_loss_naive(z, labels, temperature=TEMPERATURE):
-    """Independent double-sum oracle, double precision, no vectorization."""
-    z = np.asarray(z, dtype=np.float64)
-    labels = [frozenset(l) for l in labels]
-    b = len(labels)
-    total, n_active = 0.0, 0
-    for i in range(b):
-        positives = [p for p in range(b) if p != i and labels[i] & labels[p]]
-        if not positives:
-            continue
-        n_active += 1
-        denom = sum(np.exp(z[i] @ z[j] / temperature) for j in range(b) if j != i)
-        inner = 0.0
-        for p in positives:
-            inner += np.log(np.exp(z[i] @ z[p] / temperature) / denom)
-        total += -inner / len(positives)
-    return total / n_active if n_active else 0.0
-
-
 def pretrain(segments, config, log=None):
     """Contrastive pretraining; returns (encoder, projection_head, history).
 

@@ -276,25 +276,42 @@ def _windows(x, k, stride, padding, t_out):
                                            (sb, sc, st, st * stride), writeable=False)
 
 
+# Bytes of the padded copy and im2col copy that one block of conv1d's
+# forward builds. At 256 rows the whole-batch copies were 12.6 MB for the
+# encoder's last conv and 42 MB for the decoder's temp1. With blocks of
+# this size a frozen forward at 256 rows traced 9.0 MiB at its peak, not
+# 20.3, for the Encoder and 16.0, not 56.1, for a LeadDecoder, and ran no
+# slower than the whole-batch copy (2-CPU host, one BLAS thread); at
+# 256 KiB the Encoder ran about 10% slower than at 1 MiB.
+CONV_BLOCK_BYTES = 2 ** 20
+
+
 def conv1d(x, w, b=None, stride=1, padding=0, relu=False):
     """1-D convolution: x [B, Cin, T], w [Cout, Cin, K], b [Cout]; with
     `relu`, followed by max(., 0) as part of the same op.
 
     One im2col matmul for every kernel size, stride and padding: the
     weight as [Cout, Cin*K] times the windows (`_windows`) as
-    [B, Cin*K, t_out]. The relu clamps that output in place, so the op
-    stores one array, and its backward masks g by `out > 0`. The tape
-    keeps x, not its padded copy or windows: the backward rebuilds the
-    windows from `x.data`, which costs one copy of x when `padding > 0`.
+    [B, Cin*K, t_out]. The forward builds those windows for one block of
+    rows at a time, as many as fit their padded and column copies in
+    `CONV_BLOCK_BYTES` (at least one), and multiplies each block into its
+    rows of one preallocated output. numpy runs a stacked matmul as one
+    GEMM per row, so the output is bit-identical to one whole-batch
+    matmul. The relu clamps that output in place, so the op stores one
+    array, and its backward masks g by `out > 0`. The tape keeps x, not
+    its padded copy or windows: the backward rebuilds the windows from
+    `x.data`, which costs one copy of x when `padding > 0`.
 
     The backward takes the weight gradient as one GEMM, g as
     [Cout, B*t_out] times the windows as [B*t_out, Cin*K]; their column
-    copy lives only for that expression. At stride 1 with Cout < Cin the
-    input gradient is a transposed convolution: the flipped kernel as
-    [Cin, Cout*K] times the windows of g zero-padded by K - 1, one matmul.
-    Other shapes scatter one [Cin, Cout] matmul per tap, which measured
-    faster there. Both gradients differ from a per-tap sum by float
-    re-association only (within 1e-5 of their largest value in float32).
+    copy lives only for that expression. It is not blocked: a sum of
+    GEMMs over row blocks or taps re-associates its sums. At stride 1
+    with Cout < Cin the input gradient is a transposed convolution: the
+    flipped kernel as [Cin, Cout*K] times the windows of g zero-padded by
+    K - 1, one matmul. Other shapes scatter one [Cin, Cout] matmul per
+    tap, which measured faster there. Both gradients differ from a
+    per-tap sum by float re-association only (within 1e-5 of their
+    largest value in float32).
     """
     if x.data.ndim != 3 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv1d", x.shape, w.shape)
@@ -303,8 +320,14 @@ def conv1d(x, w, b=None, stride=1, padding=0, relu=False):
     t_out = (T + 2 * padding - K) // stride + 1
     if t_out < 1:
         raise ShapeError("conv1d", x.shape, w.shape)
-    data = np.matmul(w.data.reshape(Cout, Cin * K),
-                     _windows(x.data, K, stride, padding, t_out).reshape(B, Cin * K, t_out))
+    w2 = w.data.reshape(Cout, Cin * K)
+    data = np.empty((B, Cout, t_out), dtype=np.result_type(w.data, x.data))
+    row_bytes = x.data.itemsize * Cin * ((T + 2 * padding if padding else 0) + K * t_out)
+    rows = max(1, CONV_BLOCK_BYTES // row_bytes)
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        np.matmul(w2, _windows(x.data[lo:hi], K, stride, padding, t_out)
+                  .reshape(hi - lo, Cin * K, t_out), out=data[lo:hi])
     if b is not None:
         data += b.data[None, :, None]
     if relu:

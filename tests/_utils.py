@@ -1,8 +1,10 @@
 """Shared test helpers: finite-difference gradient checking on a
-float64 shadow of the graph."""
+float64 shadow of the graph, and the supervised contrastive loss as a
+double sum, the reference for `contrastive.supcon_loss`."""
 
 import numpy as np
 
+from ecgrecon.contrastive import TEMPERATURE
 from ecgrecon.tensor import Tensor
 
 
@@ -42,3 +44,22 @@ def finite_diff_check(build_loss, arrays, step=1e-3, tol=1e-4):
 def random_unit_rows(rng, b, d):
     z = rng.normal(size=(b, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def supcon_loss_naive(z, labels, temperature=TEMPERATURE):
+    """Independent double-sum oracle, double precision, no vectorization."""
+    z = np.asarray(z, dtype=np.float64)
+    labels = [frozenset(l) for l in labels]
+    b = len(labels)
+    total, n_active = 0.0, 0
+    for i in range(b):
+        positives = [p for p in range(b) if p != i and labels[i] & labels[p]]
+        if not positives:
+            continue
+        n_active += 1
+        denom = sum(np.exp(z[i] @ z[j] / temperature) for j in range(b) if j != i)
+        inner = 0.0
+        for p in positives:
+            inner += np.log(np.exp(z[i] @ z[p] / temperature) / denom)
+        total += -inner / len(positives)
+    return total / n_active if n_active else 0.0

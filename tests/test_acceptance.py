@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ecgrecon import tensor as T
-from ecgrecon.contrastive import supcon_loss, supcon_loss_naive
+from ecgrecon.contrastive import supcon_loss
 from ecgrecon.dataset import TARGET_LEADS, segment_record_nonoverlap
 from ecgrecon.errors import HeaderParseError, TruncationError
 from ecgrecon.evaluation import diagonal_consistency, evaluate_model, knn_affinity
@@ -23,7 +23,7 @@ from ecgrecon.reconstruction import (EPS, NormStats, TrainConfig, decode,
                                      train_decoders)
 from ecgrecon.tensor import Tensor
 
-from _utils import finite_diff_check, random_unit_rows
+from _utils import finite_diff_check, random_unit_rows, supcon_loss_naive
 from conftest import DESK_SEED
 
 

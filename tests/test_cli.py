@@ -798,6 +798,23 @@ def test_bad_norm_stats_exit_4(pipeline, tmp_path, capsys, stage, edit, says):
     assert not out.exists()
 
 
+def test_reconstruct_beyond_the_int16_writer_exit_4(pipeline, tmp_path, capsys):
+    """With y_sigma 1e6 mV the reconstructed samples pass +-32.767 mV, which
+    the output record's int16 samples cannot hold."""
+    d = pipeline
+    dec = tmp_path / "dec"
+    shutil.copytree(d["dec"], dec)
+    _edit_json(dec / "norm_stats.json", lambda stats: stats.update(y_sigma=[1e6] * 5))
+    out = tmp_path / "o"
+    assert main(["reconstruct", "--out", str(out), "--data", str(d["split"]), "--encoder",
+                 str(d["pretrain"]), "--decoders", str(dec)]) == 4
+    err = capsys.readouterr().err
+    test = json.loads((d["split"] / "splits.json").read_text())["records"]["test"]
+    assert any(err.startswith(f"error:data: record {r} ") for r in test)
+    assert f"decoder set {dec}: " in err and "int16" in err
+    assert not out.exists()
+
+
 def test_decoder_set_statistics_come_from_norm_stats_json(pipeline, tmp_path):
     """The checkpoints' copies of the statistics are not read: with every
     copy's y_sigma doubled, evaluate writes the report of the untouched set."""
@@ -1170,3 +1187,34 @@ def test_cli_surface():
                               "--verify-checksums"]).verify_checksums is True
     assert parser.parse_args(["train", "--out", "o", "--data", "d", "--embeddings", "e",
                               "--clean-only"]).clean_only is True
+
+
+def test_output_digest_compare_names_each_mismatch(tmp_path, monkeypatch, capsys):
+    import importlib.util
+    import sys
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("output_digest",
+                                                  root / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "recipe", lambda work: [])    # digest the files below as they are
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    work = tmp_path / "work"
+    for name, text in (("a/same.txt", "1"), ("a/changed.txt", "2"), ("b/new.txt", "3")):
+        (work / name).parent.mkdir(parents=True, exist_ok=True)
+        (work / name).write_text(text)
+    saved = tool.digest(work)
+    saved["a/changed.txt"] = "0" * 64
+    saved["c/gone.txt"] = saved.pop("b/new.txt")
+    (tmp_path / "saved.json").write_text(json.dumps(saved))
+    assert tool.main(["--work", str(work), "--compare", str(tmp_path / "saved.json")]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == tool.digest(work)
+    assert err.splitlines() == [
+        "output_digest: differs: a/changed.txt",
+        "output_digest: missing: b/new.txt (not in the saved digest)",
+        "output_digest: missing: c/gone.txt (not written)",
+        f"output_digest: 3 of 4 paths differ from {tmp_path / 'saved.json'}"]
+    (tmp_path / "saved.json").write_text(out)
+    assert tool.main(["--work", str(work), "--compare", str(tmp_path / "saved.json")]) == 0

@@ -4,14 +4,14 @@ import pytest
 from ecgrecon import tensor as T
 from ecgrecon.contrastive import (AMP_RANGE, MAX_SHIFT, NOISE_SIGMA, PretrainConfig,
                                   embed_all, make_views, peak_shifts, pretrain,
-                                  supcon_loss, supcon_loss_naive)
+                                  supcon_loss)
 from ecgrecon.dataset import Segments, segment_record
 from ecgrecon.errors import DataError
 from ecgrecon.nn import Encoder
 from ecgrecon.synth import builtin_class_specs, generate_corpus
 from ecgrecon.tensor import Tensor
 
-from _utils import finite_diff_check, random_unit_rows
+from _utils import finite_diff_check, random_unit_rows, supcon_loss_naive
 
 
 def _pulse_window(peak=100):

@@ -165,7 +165,30 @@ NN_CONVS = {"enc0": (4, 3, 256, 32, 7, 2, 3, False), "enc2": (4, 32, 128, 64, 5,
             "enc0-b1": (1, 3, 256, 32, 7, 2, 3, False),
             "temp1-b1": (1, 32, 256, 16, 5, 1, 2, False),
             "pad0-view": (3, 5, 40, 6, 3, 2, 0, True),
-            "pointwise-view": (3, 5, 40, 6, 1, 1, 0, True)}
+            "pointwise-view": (3, 5, 40, 6, 1, 1, 0, True),
+            # batches whose forward spans several row blocks and ends in a
+            # partial one (test_conv1d_rows_span_several_blocks)
+            "temp1-b13": (13, 32, 256, 16, 5, 1, 2, False),
+            "enc6-b40": (40, 128, 32, 128, 3, 1, 1, False),
+            "pad0-view-b1000": (1000, 5, 40, 6, 3, 2, 0, True)}
+BLOCKED_CONVS = ("temp1-b13", "enc6-b40", "pad0-view-b1000")
+
+
+def _block_rows(cin, t, k, stride, padding, itemsize):
+    """The rows of one block of conv1d's forward: as many as fit their
+    padded copy and column copy in T.CONV_BLOCK_BYTES, at least one."""
+    t_out = (t + 2 * padding - k) // stride + 1
+    return max(1, T.CONV_BLOCK_BYTES // (itemsize * cin * ((t + 2 * padding if padding else 0)
+                                                            + k * t_out)))
+
+
+@pytest.mark.parametrize("itemsize", [4, 8], ids=["float32", "float64"])
+@pytest.mark.parametrize("conv", BLOCKED_CONVS)
+def test_conv1d_rows_span_several_blocks(conv, itemsize):
+    # so that their rows of the bit-identity test check the blocked forward
+    B, cin, t, _, k, stride, padding, _ = NN_CONVS[conv]
+    rows = _block_rows(cin, t, k, stride, padding, itemsize)
+    assert B > rows and B % rows, f"{B} rows make {B / rows:.2f} blocks of {rows}"
 
 
 # max |got - ref| / max |ref| allowed between the x and w gradients and
@@ -307,6 +330,33 @@ def test_encoder_forward_tape_holds_each_activation_once():
         tracemalloc.stop()
     assert h.requires_grad and h.shape == (256, 128)
     assert live < 24 * 2 ** 20, f"{live / 2 ** 20:.1f} MiB live after the forward"
+
+
+def test_frozen_decoder_forward_memory_bounded_by_the_block(tmp_path):
+    """A frozen LeadDecoder forward peaks while the fusion block's output
+    and its relu (two [B, 32, 256] float32 arrays) are both alive; temp1's
+    and temp2's windows are built one CONV_BLOCK_BYTES block at a time, so
+    the peak above those two arrays does not grow with the rows. With one
+    whole-batch im2col, temp1's [256, 160, 256] column copy and its padded
+    input added about 40 MiB at 256 rows."""
+    save_checkpoint(tmp_path / "decoder.ckpt", LeadDecoder(seed=3))
+    decoder, _ = load_checkpoint(tmp_path / "decoder.ckpt")
+    rng = np.random.default_rng(0)
+    for rows in (256, 64):
+        x = Tensor(rng.normal(size=(rows, 3, 256)))
+        h = Tensor(rng.normal(size=(rows, 128)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = decoder(x, h)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, 256) and not out.requires_grad
+        fused = rows * LeadDecoder.FUSION_CH * 256 * 4
+        excess = peak - 2 * fused
+        assert excess < 3 * T.CONV_BLOCK_BYTES, \
+            f"{rows} rows: {excess / 2 ** 20:.1f} MiB above the fused arrays"
 
 
 ENCODER_DESCRIPTOR = {

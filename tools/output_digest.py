@@ -14,6 +14,13 @@ of every file under DIR, relative to DIR, to its sha256. Each stage's
 removed. Stage manifests and `splits.json` hold absolute paths under DIR,
 so compare two checkouts with the same DIR. A stage that exits non-zero
 stops the script with exit 1.
+
+    python3 tools/output_digest.py --work DIR --compare FILE
+
+also compares the digest with FILE, a digest this script printed before
+(for instance at the parent commit, with the same DIR). It writes one line
+to stderr for every path whose sha256 differs and every path that only one
+of the two holds, and then a count; any such path makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -69,10 +76,29 @@ def digest(work):
             for path in sorted(work.rglob("*")) if path.is_file()}
 
 
+def compare(got, want):
+    """One line for each path whose digest in `got` differs from `want`'s,
+    or that only one of the two holds, in path order."""
+    lines = {p: f"differs: {p}" for p in got.keys() & want.keys() if got[p] != want[p]}
+    lines.update({p: f"missing: {p} (not written)" for p in want.keys() - got.keys()})
+    lines.update({p: f"missing: {p} (not in the saved digest)" for p in got.keys() - want.keys()})
+    return [lines[p] for p in sorted(lines)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--work", required=True, help="directory the stages write into")
+    parser.add_argument("--compare", metavar="FILE",
+                        help="a saved digest JSON to compare this run's digest with")
     args = parser.parse_args(argv)
+    want = None
+    if args.compare:
+        try:
+            want = json.loads(Path(args.compare).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"--compare {args.compare}: {exc}")
+        if not isinstance(want, dict):
+            parser.error(f"--compare {args.compare}: not a JSON object")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path[:0] = [str(ROOT / "src")]
     from ecgrecon.cli import main as run
@@ -84,8 +110,16 @@ def main(argv=None):
         if code != 0:
             print(f"output_digest: {argv[0]} exited {code}", file=sys.stderr)
             return 1
-    print(json.dumps(digest(work), indent=1))
-    return 0
+    got = digest(work)
+    print(json.dumps(got, indent=1))
+    if want is None:
+        return 0
+    mismatches = compare(got, want)
+    for line in mismatches:
+        print(f"output_digest: {line}", file=sys.stderr)
+    print(f"output_digest: {len(mismatches)} of {len(got.keys() | want.keys())} paths "
+          f"differ from {args.compare}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
