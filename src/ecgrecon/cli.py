@@ -186,9 +186,10 @@ def run_stage(args):
     `work`, a fresh sibling of `--out`, and returns (manifest extras or
     None, summary line). The manifest goes into `work` last and lists all
     it holds as `outputs`; then the old `--out` is renamed aside, `work`
-    renamed into its place, and only then the old one removed. So on any
-    error `--out` keeps its contents, and it never holds part of an
-    output: a crash between the two renames leaves no `--out` at all."""
+    renamed into its place, and only then the old one removed; if that
+    second rename fails, the old one is renamed back. So on any error
+    `--out` keeps its contents, and it never holds part of an output: a
+    process killed between the two renames leaves no `--out` at all."""
     started = _now()
     target = Path(args.out).resolve()
     _check_out(target, args.command)
@@ -205,9 +206,15 @@ def run_stage(args):
         extras, summary = args.func(args, work, settings)
         write_manifest(work, args.command, settings, inputs,
                        sorted(p.name for p in work.iterdir()), started, extras)
-        if target.exists():
+        moved = target.exists()
+        if moved:
             target.rename(old)
-        work.rename(target)
+        try:
+            work.rename(target)
+        except BaseException:
+            if moved:     # a failed publish puts the old output back
+                old.rename(target)
+            raise
     finally:
         shutil.rmtree(work, ignore_errors=True)
     shutil.rmtree(old, ignore_errors=True)   # already published: a failure leaves only `old`
@@ -505,32 +512,33 @@ def _load_decoders(decoder_dir):
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise DependencyError(f"{path / 'manifest.json'}: 'config' is not a JSON object")
-    conditioned = config.get("conditioned", True)
+    conditioned = config.get("conditioned")
     if not isinstance(conditioned, bool):
-        raise DependencyError(f"{path / 'manifest.json'}: 'conditioned' is not a JSON boolean")
+        raise DependencyError(f"{path / 'manifest.json'}: 'conditioned' is missing or "
+                              "not a JSON boolean")
     return decoders, stats, conditioned
 
 
 def _test_records(split_dir):
+    """The test fold's records, each loaded as it is asked for; none is a DataError."""
     where = Path(split_dir) / "splits.json"
     splits = read_json(where, dict)
     test = json_field(json_field(splits, "records", dict, where), "test", list,
                       f"{where} records")
     if not all(isinstance(rid, str) for rid in test):
         raise DataError(f"{where}: test record ids are not all strings")
-    return [e.load() for e in _read_index(
-        json_field(splits, "preprocessed_dir", str, where), set(test))]
+    entries = _read_index(json_field(splits, "preprocessed_dir", str, where), set(test))
+    if not entries:
+        raise DataError(f"{where}: no test records")
+    return (e.load() for e in entries)
 
 
 def cmd_reconstruct(args, out, settings):
     encoder = _load_encoder(args.encoder)
     decoders, stats, conditioned = _load_decoders(args.decoders)
-    records = _test_records(args.data)
-    if not records:
-        raise DataError("no test records to reconstruct")
     rec_dir = out / "records"
     sidecar = {}
-    for rec in records:
+    for rec in _test_records(args.data):
         recon = reconstruct_record(rec, encoder, decoders, stats,
                                    conditioned=conditioned)
         out_rec = SignalRecord(samples=recon, fs=100.0,
@@ -546,17 +554,14 @@ def cmd_reconstruct(args, out, settings):
         sidecar[rec.record_id] = {
             lead: rmse(recon[i], truth[i]) for i, lead in enumerate(TARGET_LEADS)}
     (out / "reconstruction_metrics.json").write_text(json.dumps(sidecar, indent=1))
-    return ({"n_records": len(records)}, f"reconstruct: wrote "
-            f"{len(records)} records to {Path(args.out) / 'records'}")
+    return ({"n_records": len(sidecar)}, f"reconstruct: wrote "
+            f"{len(sidecar)} records to {Path(args.out) / 'records'}")
 
 
 def cmd_evaluate(args, out, settings):
     encoder = _load_encoder(args.encoder)
-    decoders, stats, conditioned = _load_decoders(args.decoders)
-    records = _test_records(args.data)
-    if not records:
-        raise DataError("no test records to evaluate")
-    report = evaluate_model(records, encoder, decoders, stats, conditioned=conditioned)
+    sets = [_load_decoders(d) for d in (args.decoders, args.baseline_decoders) if d]
+    report, *baseline = evaluate_model(_test_records(args.data), encoder, sets)
     (out / "report.json").write_text(json.dumps(asdict(report), indent=1))
     lines = ["lead,level,rmse,rmse_sem,r2,pearson,n"]
     for level, metrics in (("segment", report.segment_metrics),
@@ -572,12 +577,8 @@ def cmd_evaluate(args, out, settings):
         per_class.append(cls + "," + ",".join(
             f"{leads.get(l, float('nan')):.4f}" for l in TARGET_LEADS))
     (out / "per_class_rmse.csv").write_text("\n".join(per_class) + "\n")
-    if args.baseline_decoders:
-        base_decoders, base_stats, base_conditioned = _load_decoders(args.baseline_decoders)
-        base_report = evaluate_model(records, encoder, base_decoders, base_stats,
-                                     conditioned=base_conditioned)
-        rows = comparison_table(base_report, report)
-        (out / "comparison.csv").write_text(comparison_csv(rows))
+    for base_report in baseline:
+        (out / "comparison.csv").write_text(comparison_csv(comparison_table(base_report, report)))
         (out / "baseline_report.json").write_text(
             json.dumps(asdict(base_report), indent=1))
     return (None, f"evaluate: mean segment RMSE {report.mean_segment_rmse:.4f} mV")

@@ -175,8 +175,7 @@ def embed_all(segments, encoder):
     """Project segments through the encoder trunk into h [N, 128]."""
     if not len(segments):
         return np.zeros((0, Encoder.EMBED_DIM), dtype=np.float32)
-    return np.concatenate([encoder(Tensor(np.ascontiguousarray(x))).data
-                           for x in chunked(segments.x)])
+    return np.concatenate([encoder(Tensor(x)).data for x in chunked(segments.x)])
 
 
 def save_pretrained(out_dir, encoder, head, history):

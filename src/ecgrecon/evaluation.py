@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contrastive import embed_all
 from .dataset import TARGET_LEADS, segment_record_nonoverlap
 from .errors import DataError, MetricUndefinedError
 from .reconstruction import overlap_add, reconstruct_segments
@@ -158,29 +159,33 @@ class EvaluationReport:
     mean_segment_rmse: float = 0.0
 
 
-def evaluate_model(records, encoder, decoders, stats, conditioned=True):
-    """Segment-level metrics over non-overlapping test segments plus
+def evaluate_model(records, encoder, decoder_sets):
+    """One report per `(decoders, stats, conditioned)` set, from one pass
+    over `records` that windows each once and embeds it at most once:
+    segment-level metrics over non-overlapping test segments plus
     record-level metrics over the full signals reassembled from the same
-    window predictions. Each record's windows [n, 5, T], and then its
-    reassembled signal [5, n_samples], are scored in one `_row_metrics`
-    pass over every target lead. A record shorter than one window is a
-    DataError."""
-    seg, rec_level, by_class = [], [], {}
+    window predictions, each record scored in one `_row_metrics` pass over
+    every target lead. A record shorter than one window is a DataError."""
+    scores = [([], [], {}) for _ in decoder_sets]
     for rec in records:
         segments = segment_record_nonoverlap(rec)
         if not len(segments):
             raise DataError(f"record {rec.record_id} shorter than one window")
-        preds = reconstruct_segments(segments, encoder, decoders, stats,
-                                     conditioned=conditioned)
-        scores = _row_metrics(preds, segments.y)
-        seg.append(scores)
+        h = embed_all(segments, encoder) if any(c for *_, c in decoder_sets) else None
         hc = sorted(rec.labels.high_confidence())
-        if len(hc) == 1:
-            by_class.setdefault(hc[0], []).append(scores[0])
-        full = overlap_add(preds, segments.start, rec.n_samples)
         truth = np.stack([rec.lead(l) for l in TARGET_LEADS])
-        rec_level.append(_row_metrics(full, truth))
+        for (decoders, stats, cond), (seg, rec_level, by_class) in zip(decoder_sets, scores):
+            preds = reconstruct_segments(segments, h if cond else None, decoders, stats)
+            seg.append(_row_metrics(preds, segments.y))
+            if len(hc) == 1:
+                by_class.setdefault(hc[0], []).append(seg[-1][0])
+            full = overlap_add(preds, segments.start, rec.n_samples)
+            rec_level.append(_row_metrics(full, truth))
+    return [_report(*s) for s in scores]
 
+
+def _report(seg, rec_level, by_class):
+    """The EvaluationReport of one decoder set's per-record scores."""
     report = EvaluationReport()
     if seg:
         seg_rmse, seg_r2, seg_pear = (_by_lead(m) for m in zip(*seg))

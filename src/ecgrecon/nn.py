@@ -193,7 +193,7 @@ def set_parameter_vector(model, vec):
     off = 0
     for p in model.parameters():
         n = p.size
-        p.data = vec[off:off + n].reshape(p.shape).astype(np.float32).copy()
+        p.data = vec[off:off + n].reshape(p.shape).astype(np.float32)
         off += n
 
 

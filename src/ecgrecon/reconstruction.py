@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .contrastive import embed_all
 from .dataset import TARGET_LEADS, chunked, segment_record_nonoverlap
 from .errors import ConfigError, DataError, require_finite
 from .nn import (Encoder, LeadDecoder, get_parameter_vector, save_checkpoint,
@@ -45,6 +46,13 @@ def normalize_h(h, mu, sigma):
     """Z-score an embedding (or batch of embeddings) per dimension."""
     h = np.asarray(h, dtype=np.float64)
     return ((h - mu) / (sigma + EPS)).astype(np.float32)
+
+
+def conditioning(h, stats, n):
+    """The decoders' input h_hat [n, 128] of `n` windows: embeddings `h` z-scored
+    by `stats`, or zeros where `h` is None (the clean-only (C) ablation)."""
+    return (np.zeros((n, Encoder.EMBED_DIM), dtype=np.float32) if h is None
+            else normalize_h(h, stats.h_mu, stats.h_sigma))
 
 
 def embedding_stats(h_matrix):
@@ -119,11 +127,7 @@ def _prep_arrays(segments, embeddings, stats, conditioned):
     for li in range(len(TARGET_LEADS)):
         ys[:, li] = ((segments.y[:, li].astype(np.float64) - stats.y_mu[li])
                      / (stats.y_sigma[li] + EPS))
-    if conditioned:
-        hs = normalize_h(embeddings, stats.h_mu, stats.h_sigma)
-    else:
-        hs = np.zeros((len(segments), embeddings.shape[1]), dtype=np.float32)
-    return xs, hs, ys
+    return xs, conditioning(embeddings if conditioned else None, stats, len(segments)), ys
 
 
 def train_decoders(train_segments, val_segments, train_embeddings, val_embeddings,
@@ -234,15 +238,12 @@ class NormStats:
         return cls(**stats)
 
 
-def reconstruct_segments(segments, encoder, decoders, stats, conditioned=True):
-    """Decode a batch of segments; returns [N, 5, T] in mV."""
+def reconstruct_segments(segments, h, decoders, stats):
+    """Decode a batch of segments given their `embed_all` embeddings `h`
+    (None for a clean-only set); returns [N, 5, T] in mV."""
     out = np.zeros((len(segments), len(TARGET_LEADS), segments.w.shape[2]))
-    for x, o in zip(chunked(segments.x), chunked(out)):
-        if conditioned:
-            h = encoder(Tensor(np.ascontiguousarray(x))).data
-            hh = normalize_h(h, stats.h_mu, stats.h_sigma)
-        else:
-            hh = np.zeros((len(x), Encoder.EMBED_DIM), dtype=np.float32)
+    hs = conditioning(h, stats, len(segments))
+    for x, hh, o in zip(chunked(segments.x), chunked(hs), chunked(out)):
         xb, hb = Tensor(normalize_x(x)), Tensor(hh)
         for li, lead in enumerate(TARGET_LEADS):
             o[:, li] = denormalize_y(decoders[lead](xb, hb).data,
@@ -267,9 +268,9 @@ def reconstruct_record(rec, encoder, decoders, stats, conditioned=True):
     segments = segment_record_nonoverlap(rec)
     if not len(segments):
         raise DataError(f"record {rec.record_id} shorter than one window")
-    preds = reconstruct_segments(segments, encoder, decoders, stats,
-                                 conditioned=conditioned)
-    return overlap_add(preds, segments.start, rec.n_samples)
+    h = embed_all(segments, encoder) if conditioned else None
+    return overlap_add(reconstruct_segments(segments, h, decoders, stats), segments.start,
+                       rec.n_samples)
 
 
 def save_decoders(out_dir, results, stats):

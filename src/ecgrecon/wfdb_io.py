@@ -148,6 +148,9 @@ def parse_header(text):
         if adc_gain <= 0:
             raise HeaderParseError(f"adc_gain must be > 0, got {adc_gain}", line_no)
         units = m.group(3) or "mV"
+        if units != "mV":   # read_signals returns millivolts
+            raise HeaderParseError(f"record {record_name}: signal units {units!r}, "
+                                   "not mV", line_no)
 
         def _int(idx, default=0):
             if len(parts) > idx:

@@ -1,11 +1,14 @@
 """Shared test helpers: finite-difference gradient checking on a
-float64 shadow of the graph, and the supervised contrastive loss as a
-double sum, the reference for `contrastive.supcon_loss`."""
+float64 shadow of the graph, the supervised contrastive loss as a
+double sum, the reference for `contrastive.supcon_loss`, and a small
+corpus of records at chosen rates."""
 
 import numpy as np
 
 from ecgrecon.contrastive import TEMPERATURE
+from ecgrecon.synth import builtin_class_specs, generate_record
 from ecgrecon.tensor import Tensor
+from ecgrecon.wfdb_io import write_record
 
 
 def finite_diff_check(build_loss, arrays, step=1e-3, tol=1e-4):
@@ -63,3 +66,18 @@ def supcon_loss_naive(z, labels, temperature=TEMPERATURE):
             inner += np.log(np.exp(z[i] @ z[p] / temperature) / denom)
         total += -inner / len(positives)
     return total / n_active if n_active else 0.0
+
+
+def mixed_rate_corpus(root, layout=((100.0, 10.0),) * 2 + ((500.0, 10.0),) * 2):
+    """A PTB-XL-layout corpus with one record R<i> of patient P<i> in fold
+    i % 10 + 1 per (fs, seconds) of `layout`, in that order; by default
+    R0, R1 at 100 Hz and R2, R3 at 500 Hz, all of 10 s."""
+    spec = builtin_class_specs()[0]
+    name = spec.class_name
+    rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
+    for i, (fs, seconds) in enumerate(layout):
+        write_record(generate_record(spec, seconds, fs, seed=i, record_id=f"R{i}",
+                                     patient_id=f"P{i}"), root / "records")
+        rows.append(f'R{i},P{i},"{{\'{name}\': 100.0}}",{i % 10 + 1},records/R{i}')
+    (root / "database.csv").write_text("\n".join(rows) + "\n")
+    (root / "scp_statements.csv").write_text(f"code,diagnostic_class\n{name},{name}\n")

@@ -315,12 +315,9 @@ def test_acceptance_06_conditioning_beats_ablation(desk_splits, desk_pretrained,
     res_ch, res_c, stats, wall = desk_decoders
     encoder = desk_pretrained[0]
     records = desk_splits["test_records"]
-    rep_ch = evaluate_model(records, encoder,
-                            {l: r.model for l, r in res_ch.items()}, stats,
-                            conditioned=True)
-    rep_c = evaluate_model(records, encoder,
-                           {l: r.model for l, r in res_c.items()}, stats,
-                           conditioned=False)
+    rep_ch, rep_c = evaluate_model(records, encoder, [
+        ({l: r.model for l, r in res_ch.items()}, stats, True),
+        ({l: r.model for l, r in res_c.items()}, stats, False)])
     wins = [l for l in TARGET_LEADS
             if rep_ch.segment_metrics[l].rmse < rep_c.segment_metrics[l].rmse]
     detail = ", ".join(

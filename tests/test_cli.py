@@ -5,11 +5,15 @@ import shutil
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ecgrecon import dsp, nn
 from ecgrecon.cli import main
 from ecgrecon.dataset import load_vectors, save_vectors
-from ecgrecon.wfdb_io import load_record, write_record
+from ecgrecon.wfdb_io import load_record, parse_header, write_record
+
+from _utils import mixed_rate_corpus
 
 
 def _sha(path):
@@ -99,6 +103,27 @@ def test_reconstruct_outputs(pipeline):
     assert headers
     manifest = json.loads((d["recon"] / "manifest.json").read_text())
     assert manifest["inputs"] == [str(d[k]) for k in ("split", "pretrain", "dec")]
+
+
+def test_evaluate_scores_both_sets_in_one_pass(pipeline, tmp_path, monkeypatch):
+    """`--baseline-decoders` naming the conditioned set itself: the two
+    reports are byte-equal, and the encoder runs once per test record
+    (each fits one chunk of windows), not once per set."""
+    d = pipeline
+    forward, calls = nn.Encoder.forward, []
+
+    def counted(self, x):
+        calls.append(x.shape[0])
+        return forward(self, x)
+
+    monkeypatch.setattr(nn.Encoder, "forward", counted)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--out", str(out), "--data", str(d["split"]),
+                 "--encoder", str(d["pretrain"]), "--decoders", str(d["dec"]),
+                 "--baseline-decoders", str(d["dec"])]) == 0
+    test = json.loads((d["split"] / "splits.json").read_text())["records"]["test"]
+    assert len(calls) == len(test)
+    assert (out / "baseline_report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_split_rerun_byte_identical(pipeline, tmp_path):
@@ -335,6 +360,17 @@ def test_preprocess_record_beyond_the_int16_writer_exit_4_naming_the_first(
     assert second not in err
 
 
+def test_preprocess_units_other_than_mv_exit_4(pipeline, tmp_path, capsys):
+    """A signal in microvolts would be read as millivolts, 1000 times too
+    large: a data error naming the record, the line and the units."""
+    raw = tmp_path / "raw"
+    shutil.copytree(pipeline["raw"], raw)
+    record_id = (raw / "database.csv").read_text().splitlines()[2].split(",")[0]
+    hea = raw / "records" / f"{record_id}.hea"
+    hea.write_text(hea.read_text().replace(" 1000(0)/mV ", " 1000(0)/uV ", 1))
+    _preprocess_refuses(raw, tmp_path, capsys, f"line 2: record {record_id}", "'uV'")
+
+
 @pytest.mark.parametrize("stage, options, config", [
     pytest.param("pretrain", ["--batch-size", "0"], None, id="pretrain-batch-size-0"),
     pytest.param("pretrain", ["--batch-size", "1"], None, id="pretrain-batch-size-1"),
@@ -450,6 +486,84 @@ def test_preprocess_memory_bounded_by_the_chunk(tmp_path):
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2 ** 18
     assert peaks[1] < 8 * budget
+
+
+def _stage_peak(argv):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_and_reconstruct_memory_flat_in_test_records(pipeline, tmp_path):
+    """`evaluate` and `reconstruct` load, score and drop one test record at
+    a time: each one's traced peak is the same for 24 and 72 test records
+    of 10 s, give or take a quarter MiB for the longer index and the
+    per-record scores. Holding every record (8 leads x 1000 float64
+    samples) added about 3.3 MB for the 48 more."""
+    d = pipeline
+    peaks = {"evaluate": [], "reconstruct": []}
+    for patients in (6, 18):
+        raw, pre, split = (tmp_path / f"{name}{patients}" for name in ("raw", "pre", "split"))
+        assert main(["synth", "--out", str(raw), "--classes", "4", "--patients",
+                     str(patients), "--records", "1", "--duration", "10",
+                     "--seed", "0"]) == 0
+        assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
+        assert main(["split", "--out", str(split), "--data", str(pre)]) == 0
+        # every record in the test fold
+        ids = [e["record_id"] for e in json.loads((pre / "records_index.json").read_text())]
+        _edit_json(split / "splits.json", lambda s: s["records"].update(test=ids))
+        for stage, stage_peaks in peaks.items():
+            stage_peaks.append(_stage_peak([
+                stage, "--out", str(tmp_path / f"{stage}{patients}"), "--data", str(split),
+                "--encoder", str(d["pretrain"]), "--decoders", str(d["dec"])]))
+    for stage, (few, many) in peaks.items():
+        assert many - few < 2 ** 18, (stage, few, many)
+
+
+@pytest.mark.parametrize("fs", [500.0, 1000.0])
+def test_corpus_above_100_hz_end_to_end(pipeline, tmp_path, monkeypatch, fs):
+    """Ten 10-s records at `fs` go through preprocess, split, evaluate and
+    reconstruct with the 100 Hz encoder and decoders: the notch and the
+    order-8 anti-alias low-pass are designed, the cleaned records are at
+    100 Hz, and the report is finite."""
+    d = pipeline
+    raw, pre, split = tmp_path / "raw", tmp_path / "pre", tmp_path / "split"
+    mixed_rate_corpus(raw, [(fs, 10.0)] * 10)
+    butter, iirnotch, designs = dsp.signal.butter, dsp.signal.iirnotch, []
+
+    def counting_butter(order, *args, **kwargs):
+        designs.append((kwargs.get("btype"), order))
+        return butter(order, *args, **kwargs)
+
+    def counting_iirnotch(*args, **kwargs):
+        designs.append(("notch", None))
+        return iirnotch(*args, **kwargs)
+
+    monkeypatch.setattr(dsp.signal, "butter", counting_butter)
+    monkeypatch.setattr(dsp.signal, "iirnotch", counting_iirnotch)
+    assert main(["preprocess", "--out", str(pre), "--data", str(raw)]) == 0
+    monkeypatch.undo()
+    assert ("notch", None) in designs and ("low", 8) in designs
+    for hea in (pre / "cleaned").glob("*.hea"):
+        header = parse_header(hea.read_text())
+        assert (header.fs, header.n_samples) == (100.0, 1000)
+    assert main(["split", "--out", str(split), "--data", str(pre)]) == 0
+    models = ["--encoder", str(d["pretrain"]), "--decoders", str(d["dec"])]
+    assert main(["evaluate", "--out", str(tmp_path / "eval"), "--data", str(split),
+                 *models]) == 0
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    rmses = [m["rmse"] for level in ("segment_metrics", "record_metrics")
+             for m in report[level].values()]
+    assert len(rmses) == 10 and np.isfinite(rmses).all()
+    assert np.isfinite(report["mean_segment_rmse"])
+    assert main(["reconstruct", "--out", str(tmp_path / "rec"), "--data", str(split),
+                 *models]) == 0
+    metrics = json.loads((tmp_path / "rec" / "reconstruction_metrics.json").read_text())
+    assert metrics and all(np.isfinite(list(m.values())).all() for m in metrics.values())
 
 
 def _count_loads(monkeypatch):
@@ -872,15 +986,19 @@ def test_bad_checkpoint_or_store_field_exit_4(pipeline, tmp_path, capsys, stage,
 
 
 def test_decoder_conditioned_not_boolean_exit_3(pipeline, tmp_path, capsys):
+    """A `conditioned` that is a string, or missing: read as conditioned,
+    a clean-only set would be scored on embeddings it never saw."""
     d = pipeline
-    dec = tmp_path / "dec_c"
-    shutil.copytree(d["dec_c"], dec)
-    _edit_json(dec / "manifest.json", lambda m: m["config"].update(conditioned="false"))
-    out = tmp_path / "o"
-    assert main(["evaluate", "--out", str(out), "--data", str(d["split"]), "--encoder",
-                 str(d["pretrain"]), "--decoders", str(dec)]) == 3
-    assert capsys.readouterr().err.startswith("error:dependency:")
-    assert not out.exists()
+    for name, edit in (("string", lambda c: c.update(conditioned="false")),
+                       ("missing", lambda c: c.pop("conditioned"))):
+        dec = tmp_path / f"dec_c-{name}"
+        shutil.copytree(d["dec_c"], dec)
+        _edit_json(dec / "manifest.json", lambda m: edit(m["config"]))
+        out = tmp_path / "o"
+        assert main(["evaluate", "--out", str(out), "--data", str(d["split"]), "--encoder",
+                     str(d["pretrain"]), "--decoders", str(dec)]) == 3, name
+        assert capsys.readouterr().err.startswith("error:dependency:"), name
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("stage, log_lines", [("pretrain", 2), ("train", 2 * 5)])
@@ -978,6 +1096,32 @@ def test_rerun_never_leaves_a_half_removed_out(pipeline, tmp_path, monkeypatch):
                                                            + ["manifest.json"])
     for name in ("train", "val", "test"):
         assert _sha(out / f"embeddings_{name}.f32") == _sha(d["embed"] / f"embeddings_{name}.f32")
+
+
+def test_failed_publish_restores_the_old_output(pipeline, tmp_path, monkeypatch):
+    """A re-run of `affinity` whose rename of the new output into place
+    fails: the old output, already renamed aside, is renamed back, so
+    `--out` holds it byte for byte and no sibling is left."""
+    d = pipeline
+    out = tmp_path / "aff"
+    argv = ["affinity", "--out", str(out), "--data", str(d["split"]), "--embeddings",
+            str(d["embed"]), "--k", "3", "--split", "train"]
+    assert main(argv) == 0
+    before = _tree(out)
+    rename, renamed = Path.rename, []
+
+    def failing_rename(self, target):
+        renamed.append(self.name)
+        if len(renamed) == 2:
+            raise OSError("injected: second rename")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", failing_rename)
+    assert main(argv) == 5
+    monkeypatch.undo()
+    assert len(renamed) == 3
+    assert _tree(out) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["aff"]
 
 
 @pytest.mark.parametrize("manifest", [None, {"command": "preprocess"}],

@@ -13,6 +13,8 @@ from ecgrecon.errors import DataError, FilterSpecError, UnsupportedRateError
 from ecgrecon.synth import builtin_class_specs, generate_record
 from ecgrecon.wfdb_io import SignalRecord, load_record, write_record
 
+from _utils import mixed_rate_corpus
+
 
 def _rms(x):
     return np.sqrt(np.mean(np.square(x)))
@@ -82,21 +84,6 @@ def test_design_bandpass_returns_callers_own_copy():
     np.testing.assert_array_equal(design_bandpass(100.0)[0], want)
 
 
-def _mixed_rate_corpus(root, layout=((100.0, 10.0),) * 2 + ((500.0, 10.0),) * 2):
-    """A PTB-XL-layout corpus with one record R<i> per (fs, seconds) of
-    `layout`, in that order; by default R0, R1 at 100 Hz and R2, R3 at
-    500 Hz, all of 10 s."""
-    spec = builtin_class_specs()[0]
-    name = spec.class_name
-    rows = ["ecg_id,patient_id,scp_codes,strat_fold,filename_lr"]
-    for i, (fs, seconds) in enumerate(layout):
-        write_record(generate_record(spec, seconds, fs, seed=i, record_id=f"R{i}",
-                                     patient_id=f"P{i}"), root / "records")
-        rows.append(f'R{i},P{i},"{{\'{name}\': 100.0}}",{i % 10 + 1},records/R{i}')
-    (root / "database.csv").write_text("\n".join(rows) + "\n")
-    (root / "scp_statements.csv").write_text(f"code,diagnostic_class\n{name},{name}\n")
-
-
 def _assert_cleaned_record_by_record(raw, pre, want_dir, n):
     """Each cleaned record R0..R<n-1> under `pre` has the bytes of
     `clean_signal` of its raw record alone, written to `want_dir`."""
@@ -111,7 +98,7 @@ def _assert_cleaned_record_by_record(raw, pre, want_dir, n):
 
 def test_preprocess_designs_one_bandpass_per_rate(tmp_path, monkeypatch):
     raw, pre = tmp_path / "raw", tmp_path / "pre"
-    _mixed_rate_corpus(raw)
+    mixed_rate_corpus(raw)
     butter = dsp.signal.butter
     designs = []
 
@@ -136,7 +123,7 @@ def test_preprocess_chunks_clean_as_record_by_record(tmp_path, monkeypatch):
     layout = ([(100.0, 10.0)] * 4 + [(100.0, 40.0)] + [(100.0, 10.0)] * 2
               + [(500.0, 10.0)] * 2 + [(100.0, 40.0)] * 2 + [(100.0, 10.0)])
     raw, pre = tmp_path / "raw", tmp_path / "pre"
-    _mixed_rate_corpus(raw, layout)
+    mixed_rate_corpus(raw, layout)
     clean, chunks = dsp.clean_signal, []
 
     def recorded(samples, fs, spec=None):
@@ -159,7 +146,7 @@ def test_preprocess_fails_on_the_first_bad_record_as_record_by_record(tmp_path, 
     same rate and shape has no signal file (exit 4): R1 is cleaned before
     R2's load error propagates, so R1's error is the one reported."""
     raw = tmp_path / "raw"
-    _mixed_rate_corpus(raw, [(100.0, 10.0), (50.0, 10.0), (50.0, 10.0)])
+    mixed_rate_corpus(raw, [(100.0, 10.0), (50.0, 10.0), (50.0, 10.0)])
     (raw / "records" / "R2.dat").unlink()
     assert main(["preprocess", "--out", str(tmp_path / "pre"), "--data", str(raw)]) == 2
     assert "invalid for fs=50.0" in capsys.readouterr().err
@@ -171,7 +158,7 @@ def test_preprocess_short_record_exit_4_naming_the_first(tmp_path, capsys, fs):
     a data error that names it. R2, as short and of the same rate, also
     lacks its signal file; R1 is cleaned first, so R1 is the one named."""
     raw = tmp_path / "raw"
-    _mixed_rate_corpus(raw, [(fs, 10.0), (fs, 27 / fs), (fs, 27 / fs)])
+    mixed_rate_corpus(raw, [(fs, 10.0), (fs, 27 / fs), (fs, 27 / fs)])
     (raw / "records" / "R2.dat").unlink()
     assert main(["preprocess", "--out", str(tmp_path / "pre"), "--data", str(raw)]) == 4
     err = capsys.readouterr().err
@@ -198,7 +185,7 @@ def test_preprocess_designs_notch_and_anti_alias_once_per_chunk(tmp_path, monkey
     The 500 Hz chunks clean as record by record."""
     n, samples = 5, 8 * 5000        # 10-s records of 8 leads at 500 Hz
     raw, pre = tmp_path / "raw", tmp_path / "pre"
-    _mixed_rate_corpus(raw, [(500.0, 10.0)] * n)
+    mixed_rate_corpus(raw, [(500.0, 10.0)] * n)
     butter, iirnotch, designs = dsp.signal.butter, dsp.signal.iirnotch, []
 
     def counting_butter(*args, **kwargs):

@@ -265,7 +265,7 @@ def test_evaluate_model_with_stub_decoders():
                       y_mu=np.zeros(5), y_sigma=np.ones(5) - EPS)
     decoders = {lead: ZeroDecoder() for lead in
                 ("V1", "V3", "V4", "V5", "V6")}
-    rep = evaluate_model(records, Encoder(seed=0), decoders, stats)
+    (rep,) = evaluate_model(records, Encoder(seed=0), [(decoders, stats, True)])
     assert set(rep.segment_metrics) == {"V1", "V3", "V4", "V5", "V6"}
     # 3 records x 4 non-overlapping windows each
     assert rep.segment_metrics["V1"].n == 12
@@ -299,7 +299,7 @@ def test_evaluate_model_decodes_each_window_once():
     stats = NormStats(h_mu=np.zeros(128), h_sigma=np.ones(128) - EPS,
                       y_mu=np.zeros(5), y_sigma=np.ones(5) - EPS)
     decoders = {lead: CountingDecoder() for lead in TARGET_LEADS}
-    rep = evaluate_model(records, Encoder(seed=0), decoders, stats)
+    (rep,) = evaluate_model(records, Encoder(seed=0), [(decoders, stats, True)])
     assert rep.segment_metrics["V1"].n == 12
     assert rep.record_metrics["V1"].n == 3
     assert [d.windows for d in decoders.values()] == [12] * 5
@@ -329,6 +329,7 @@ def test_row_metrics_equal_scalar_metrics():
 def _scalar_report(records, encoder, decoders, stats):
     """`evaluate_model`'s report built one window, one lead and one scalar
     metric call at a time; also returns how many window scores were None."""
+    from ecgrecon.contrastive import embed_all
     from ecgrecon.dataset import TARGET_LEADS, segment_record_nonoverlap
     from ecgrecon.evaluation import EvaluationReport, LeadMetrics
     from ecgrecon.reconstruction import overlap_add, reconstruct_segments
@@ -342,7 +343,8 @@ def _scalar_report(records, encoder, decoders, stats):
     by_class, undefined = {}, {"r2": 0, "pearson": 0}
     for rec in records:
         segments = segment_record_nonoverlap(rec)
-        preds = reconstruct_segments(segments, encoder, decoders, stats)
+        preds = reconstruct_segments(segments, embed_all(segments, encoder), decoders,
+                                     stats)
         hc = sorted(rec.labels.high_confidence())
         for pred, y in zip(preds, segments.y):
             for li, lead in enumerate(TARGET_LEADS):
@@ -409,7 +411,7 @@ def test_evaluate_model_equals_per_window_scalar_report():
                       y_mu=np.zeros(5), y_sigma=np.full(5, 1.5))
     decoders = {lead: InputLeadDecoder(li) for li, lead in enumerate(TARGET_LEADS)}
     encoder = Encoder(seed=0)
-    got = evaluate_model(records, encoder, decoders, stats)
+    (got,) = evaluate_model(records, encoder, [(decoders, stats, True)])
     want, undefined = _scalar_report(records, encoder, decoders, stats)
     # one flat target window (r2 and pearson undefined), and one flat
     # prediction per record and lead (pearson undefined)

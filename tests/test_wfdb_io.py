@@ -55,6 +55,20 @@ def test_malformed_line_reports_line_number():
         parse_header(text)
 
 
+@pytest.mark.parametrize("units", ["uV", "V"])
+def test_units_other_than_mv_rejected(units):
+    """read_signals returns millivolts: a signal in other units is refused
+    with the record, the line and the units, not scaled by 1000."""
+    text = _header_text(n_signals=2).replace("/mV 16 0 0 0 0 II", f"/{units} 16 0 0 0 0 II")
+    with pytest.raises(HeaderParseError, match=f"line 3: record rec001: signal units '{units}'"):
+        parse_header(text)
+
+
+def test_units_default_to_mv():
+    h = parse_header("rec001 1 100 10\nrec001.dat 16 1000(0) 16 0 0 0 0 I\n")
+    assert h.signals[0].units == "mV"
+
+
 def _small_header(n_signals, n_samples, gain=1000.0, baseline=0):
     sigs = [wfdb_io.SignalSpec("r.dat", 16, gain, baseline, "mV",
                                lead_name=f"L{i}") for i in range(n_signals)]
