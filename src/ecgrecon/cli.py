@@ -520,16 +520,23 @@ def _load_decoders(decoder_dir):
 
 
 def _test_records(split_dir):
-    """The test fold's records, each loaded as it is asked for; none is a DataError."""
+    """The test fold's records in index order, each loaded as it is asked
+    for. No test id, or one the index lacks or the list repeats, is a DataError."""
     where = Path(split_dir) / "splits.json"
     splits = read_json(where, dict)
     test = json_field(json_field(splits, "records", dict, where), "test", list,
                       f"{where} records")
     if not all(isinstance(rid, str) for rid in test):
         raise DataError(f"{where}: test record ids are not all strings")
-    entries = _read_index(json_field(splits, "preprocessed_dir", str, where), set(test))
-    if not entries:
+    if not test:
         raise DataError(f"{where}: no test records")
+    entries = _read_index(json_field(splits, "preprocessed_dir", str, where), set(test))
+    known, seen = {e.record_id for e in entries}, set()
+    for rid in test:
+        if rid in seen or rid not in known:
+            raise DataError(f"{where}: test record {rid} is " + (
+                "listed twice" if rid in seen else "not in records_index.json"))
+        seen.add(rid)
     return (e.load() for e in entries)
 
 
@@ -563,19 +570,18 @@ def cmd_evaluate(args, out, settings):
     sets = [_load_decoders(d) for d in (args.decoders, args.baseline_decoders) if d]
     report, *baseline = evaluate_model(_test_records(args.data), encoder, sets)
     (out / "report.json").write_text(json.dumps(asdict(report), indent=1))
+    def f(v):
+        return "" if v is None else f"{v:.4f}"
     lines = ["lead,level,rmse,rmse_sem,r2,pearson,n"]
     for level, metrics in (("segment", report.segment_metrics),
                            ("record", report.record_metrics)):
         for lead, m in metrics.items():
-            def f(v):
-                return "" if v is None else f"{v:.4f}"
-            lines.append(f"{lead},{level},{m.rmse:.4f},{f(m.rmse_sem)},"
+            lines.append(f"{lead},{level},{f(m.rmse)},{f(m.rmse_sem)},"
                          f"{f(m.r2)},{f(m.pearson)},{m.n}")
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
     per_class = ["class," + ",".join(TARGET_LEADS)]
     for cls, leads in report.per_class_rmse.items():
-        per_class.append(cls + "," + ",".join(
-            f"{leads.get(l, float('nan')):.4f}" for l in TARGET_LEADS))
+        per_class.append(cls + "," + ",".join(f(leads[l]) for l in TARGET_LEADS))
     (out / "per_class_rmse.csv").write_text("\n".join(per_class) + "\n")
     for base_report in baseline:
         (out / "comparison.csv").write_text(comparison_csv(comparison_table(base_report, report)))

@@ -100,12 +100,6 @@ class QcBounds:
                 "ptp_lo": self.ptp_lo.tolist(), "ptp_hi": self.ptp_hi.tolist(),
                 "rms_lo": self.rms_lo.tolist(), "rms_hi": self.rms_hi.tolist()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(leads=list(d["leads"]),
-                   ptp_lo=np.asarray(d["ptp_lo"]), ptp_hi=np.asarray(d["ptp_hi"]),
-                   rms_lo=np.asarray(d["rms_lo"]), rms_hi=np.asarray(d["rms_hi"]))
-
 
 def _window_offsets(n_samples, nonoverlap=False):
     """Offsets of the windows of a record of `n_samples`: every HOP while

@@ -1,8 +1,8 @@
 """Fidelity metrics, per-class breakdowns, and k-NN class affinity.
 
 All metrics run in double precision. Undefined cases (constant target
-for R^2/Pearson) raise rather than returning 0; report assembly records
-them as missing.
+for R^2/Pearson) raise rather than returning 0; the row metrics hold
+them as NaN, and report assembly records them as missing.
 """
 
 from __future__ import annotations
@@ -120,10 +120,10 @@ def diagonal_consistency(affinity):
 
 
 def _row_metrics(y_hat, y):
-    """(rmse, r2, pearson) of every row along the last axis of `y_hat` and
-    `y` [..., n], each an array [...] holding what `rmse`, `r2` and
-    `pearson` return for that row, bit for bit. r2 is None where the
-    target row is constant, pearson where either row is."""
+    """Float64 array [3, ...] of the rmse, r2 and pearson of every row along
+    the last axis of `y_hat` and `y` [..., n], each what `rmse`, `r2` and
+    `pearson` return for that row, bit for bit. r2 is NaN where the target
+    row is constant, pearson where either row is."""
     y_hat, y = np.asarray(y_hat, float), np.asarray(y, float)
     if y_hat.shape != y.shape or y.shape[-1] < 2:
         raise DataError(f"metrics need equal shapes with rows >= 2, got "
@@ -134,21 +134,31 @@ def _row_metrics(y_hat, y):
     ss_res, ss_tot = np.sum(d * d, axis=-1), np.sum(b * b, axis=-1)
     denom = np.sqrt(np.sum(a * a, axis=-1) * ss_tot)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r2s = 1.0 - ss_res / ss_tot
-        pears = np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0)
-    return (np.sqrt(ss_res / y.shape[-1]), np.where(ss_tot == 0.0, None, r2s),
-            np.where(denom == 0.0, None, pears))
-
-
-def _by_lead(rows):
-    """Per-record metric arrays [n, 5] (or [5]) -> one contiguous row per
-    target lead [5, N], in record order."""
-    return np.ascontiguousarray(np.concatenate([np.atleast_2d(r) for r in rows]).T)
+        r2s = np.where(ss_tot == 0.0, np.nan, 1.0 - ss_res / ss_tot)
+        pears = np.where(denom == 0.0, np.nan,
+                         np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0))
+    return np.stack([np.sqrt(ss_res / y.shape[-1]), r2s, pears])
 
 
 def _mean_or_none(values):
-    vals = [v for v in values if v is not None]
-    return float(np.mean(vals)) if vals else None
+    """Mean of the scores that are not NaN; None if none is."""
+    values = values[~np.isnan(values)]
+    return float(values.mean()) if values.size else None
+
+
+def _lead_metrics(scores, level):
+    """{lead: LeadMetrics} of `scores`, a list of `_row_metrics` arrays
+    [3, ..., 5] over the target leads, in record order. R^2 and Pearson
+    skip undefined (NaN) scores; at record level the RMSE also gets its
+    SEM over records."""
+    m = np.concatenate([s.reshape(3, -1, len(TARGET_LEADS)) for s in scores], axis=1)
+    m = np.ascontiguousarray(m.transpose(2, 0, 1))   # [5, 3, N]: one row per lead and metric
+    n = m.shape[2]
+    return {lead: LeadMetrics(
+        lead=lead, rmse=float(e.mean()), r2=_mean_or_none(r), pearson=_mean_or_none(p),
+        n=n, level=level,
+        rmse_sem=float(e.std(ddof=1) / np.sqrt(n)) if level == "record" and n > 1 else None)
+        for lead, (e, r, p) in zip(TARGET_LEADS, m)}
 
 
 @dataclass
@@ -165,7 +175,7 @@ def evaluate_model(records, encoder, decoder_sets):
     segment-level metrics over non-overlapping test segments plus
     record-level metrics over the full signals reassembled from the same
     window predictions, each record scored in one `_row_metrics` pass over
-    every target lead. A record shorter than one window is a DataError."""
+    every target lead. No record, or one shorter than a window, is a DataError."""
     scores = [([], [], {}) for _ in decoder_sets]
     for rec in records:
         segments = segment_record_nonoverlap(rec)
@@ -178,7 +188,7 @@ def evaluate_model(records, encoder, decoder_sets):
             preds = reconstruct_segments(segments, h if cond else None, decoders, stats)
             seg.append(_row_metrics(preds, segments.y))
             if len(hc) == 1:
-                by_class.setdefault(hc[0], []).append(seg[-1][0])
+                by_class.setdefault(hc[0], []).append(seg[-1])
             full = overlap_add(preds, segments.start, rec.n_samples)
             rec_level.append(_row_metrics(full, truth))
     return [_report(*s) for s in scores]
@@ -186,29 +196,14 @@ def evaluate_model(records, encoder, decoder_sets):
 
 def _report(seg, rec_level, by_class):
     """The EvaluationReport of one decoder set's per-record scores."""
-    report = EvaluationReport()
-    if seg:
-        seg_rmse, seg_r2, seg_pear = (_by_lead(m) for m in zip(*seg))
-        rec_rmse, rec_r2, rec_pear = (_by_lead(m) for m in zip(*rec_level))
-        n_seg, n_rec = seg_rmse.shape[1], rec_rmse.shape[1]
-        for li, lead in enumerate(TARGET_LEADS):
-            report.segment_metrics[lead] = LeadMetrics(
-                lead=lead, rmse=float(np.mean(seg_rmse[li])),
-                r2=_mean_or_none(seg_r2[li]), pearson=_mean_or_none(seg_pear[li]),
-                n=n_seg, level="segment")
-            vals = rec_rmse[li]
-            sem = float(vals.std(ddof=1) / np.sqrt(n_rec)) if n_rec > 1 else None
-            report.record_metrics[lead] = LeadMetrics(
-                lead=lead, rmse=float(vals.mean()),
-                r2=_mean_or_none(rec_r2[li]), pearson=_mean_or_none(rec_pear[li]),
-                n=n_rec, level="record", rmse_sem=sem)
-    report.per_class_rmse = {
-        cls: {lead: float(np.mean(v)) for lead, v in zip(TARGET_LEADS, _by_lead(rows))}
-        for cls, rows in sorted(by_class.items())}
-    if report.segment_metrics:
-        report.mean_segment_rmse = float(np.mean(
-            [m.rmse for m in report.segment_metrics.values()]))
-    return report
+    if not seg:
+        raise DataError("no records to evaluate")
+    segment_metrics = _lead_metrics(seg, "segment")
+    return EvaluationReport(
+        segment_metrics=segment_metrics, record_metrics=_lead_metrics(rec_level, "record"),
+        per_class_rmse={cls: {lead: m.rmse for lead, m in _lead_metrics(rows, "segment").items()}
+                        for cls, rows in sorted(by_class.items())},
+        mean_segment_rmse=float(np.mean([m.rmse for m in segment_metrics.values()])))
 
 
 def comparison_table(baseline, proposed):

@@ -20,32 +20,25 @@ def _sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _output_digest():
+    """`tools/output_digest.py`, imported as a module."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", Path(__file__).resolve().parent.parent / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory, capfd_noop=None):
-    """Run the full pipeline at tiny scale once and share the directories."""
-    root = tmp_path_factory.mktemp("pipe")
-    d = {name: root / name for name in
-         ("raw", "pre", "split", "pretrain", "embed", "dec", "dec_c",
-          "eval", "aff", "recon")}
-    assert main(["synth", "--out", str(d["raw"]), "--classes", "3",
-                 "--patients", "10", "--records", "1", "--duration", "6",
-                 "--seed", "0"]) == 0
-    assert main(["preprocess", "--out", str(d["pre"]),
-                 "--data", str(d["raw"])]) == 0
-    assert main(["split", "--out", str(d["split"]),
-                 "--data", str(d["pre"])]) == 0
-    assert main(["pretrain", "--out", str(d["pretrain"]),
-                 "--data", str(d["split"]), "--epochs", "1",
-                 "--batch-size", "32", "--seed", "0"]) == 0
-    assert main(["embed", "--out", str(d["embed"]), "--data", str(d["split"]),
-                 "--encoder", str(d["pretrain"])]) == 0
-    assert main(["train", "--out", str(d["dec"]), "--data", str(d["split"]),
-                 "--embeddings", str(d["embed"]), "--epochs", "1",
-                 "--seed", "0"]) == 0
-    assert main(["train", "--out", str(d["dec_c"]), "--data", str(d["split"]),
-                 "--embeddings", str(d["embed"]), "--epochs", "1",
-                 "--seed", "0", "--clean-only"]) == 0
-    return d
+def pipeline(tmp_path_factory):
+    """Run the first seven stages of the digest tool's recipe (synth
+    through both trains) once and share every stage's directory."""
+    stages = _output_digest().recipe(tmp_path_factory.mktemp("pipe"))
+    for argv in stages[:7]:
+        assert main(argv) == 0, argv
+    outs = (Path(argv[argv.index("--out") + 1]) for argv in stages)
+    return {out.name: out for out in outs}
 
 
 def test_pipeline_artifacts_exist(pipeline):
@@ -499,13 +492,18 @@ def _stage_peak(argv):
 
 
 def test_evaluate_and_reconstruct_memory_flat_in_test_records(pipeline, tmp_path):
-    """`evaluate` and `reconstruct` load, score and drop one test record at
-    a time: each one's traced peak is the same for 24 and 72 test records
-    of 10 s, give or take a quarter MiB for the longer index and the
-    per-record scores. Holding every record (8 leads x 1000 float64
-    samples) added about 3.3 MB for the 48 more."""
+    """`evaluate`, alone and with `--baseline-decoders`, and `reconstruct`
+    load, score and drop one test record at a time: from 24 to 72 test
+    records of 10 s each one's traced peak grows by under 4 KiB a record,
+    for the longer index and each record's float64 score arrays. Holding
+    every record (8 leads x 1000 float64 samples) added about 3.3 MB for
+    the 48 more; holding R^2 and Pearson as object arrays of Python floats
+    added about 6 KiB a record with both decoder sets."""
     d = pipeline
-    peaks = {"evaluate": [], "reconstruct": []}
+    models = ["--encoder", str(d["pretrain"]), "--decoders", str(d["dec"])]
+    runs = {"evaluate": ["evaluate", *models], "reconstruct": ["reconstruct", *models],
+            "evaluate-baseline": ["evaluate", *models, "--baseline-decoders", str(d["dec_c"])]}
+    peaks = {name: [] for name in runs}
     for patients in (6, 18):
         raw, pre, split = (tmp_path / f"{name}{patients}" for name in ("raw", "pre", "split"))
         assert main(["synth", "--out", str(raw), "--classes", "4", "--patients",
@@ -516,12 +514,12 @@ def test_evaluate_and_reconstruct_memory_flat_in_test_records(pipeline, tmp_path
         # every record in the test fold
         ids = [e["record_id"] for e in json.loads((pre / "records_index.json").read_text())]
         _edit_json(split / "splits.json", lambda s: s["records"].update(test=ids))
-        for stage, stage_peaks in peaks.items():
-            stage_peaks.append(_stage_peak([
-                stage, "--out", str(tmp_path / f"{stage}{patients}"), "--data", str(split),
-                "--encoder", str(d["pretrain"]), "--decoders", str(d["dec"])]))
-    for stage, (few, many) in peaks.items():
-        assert many - few < 2 ** 18, (stage, few, many)
+        for name, (stage, *options) in runs.items():
+            peaks[name].append(_stage_peak([
+                stage, "--out", str(tmp_path / f"{name}{patients}"), "--data", str(split),
+                *options]))
+    for name, (few, many) in peaks.items():
+        assert many - few < 48 * 4096, (name, few, many)
 
 
 @pytest.mark.parametrize("fs", [500.0, 1000.0])
@@ -861,19 +859,34 @@ def test_bad_records_index_entry_exit_4(pipeline, tmp_path, capsys, edit):
     assert [p.name for p in tmp_path.iterdir()] == ["pre"]
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda splits: splits["records"].update(test=5), id="test-not-list"),
-    pytest.param(lambda splits: splits.update(records=[]), id="records-not-object"),
+@pytest.mark.parametrize("stage, edit, says", [
+    pytest.param("evaluate", lambda splits: splits["records"].update(test=5),
+                 "'test' is missing or not", id="test-not-list"),
+    pytest.param("evaluate", lambda splits: splits.update(records=[]),
+                 "'records' is missing or not", id="records-not-object"),
+    *[pytest.param(stage, edit, says, id=f"{label}-{stage}")
+      for stage in ("evaluate", "reconstruct")
+      for label, edit, says in (
+          ("test-empty", lambda splits: splits["records"].update(test=[]),
+           "splits.json: no test records"),
+          ("test-id-unknown", lambda splits: splits["records"]["test"].append("NOPE-P999-R00"),
+           "splits.json: test record NOPE-P999-R00 is not in records_index.json"),
+          ("test-id-repeated",
+           lambda splits: splits["records"]["test"].insert(1, splits["records"]["test"][0]),
+           "splits.json: test record {first} is listed twice"))],
 ])
-def test_bad_splits_records_exit_4(pipeline, tmp_path, capsys, edit):
+def test_bad_splits_records_exit_4(pipeline, tmp_path, capsys, stage, edit, says):
+    """`says` may name the first test id as {first}."""
     d = pipeline
     split = tmp_path / "split"
     shutil.copytree(d["split"], split)
+    first = json.loads((split / "splits.json").read_text())["records"]["test"][0]
     _edit_json(split / "splits.json", edit)
     out = tmp_path / "o"
-    assert main(["evaluate", "--out", str(out), "--data", str(split), "--encoder",
+    assert main([stage, "--out", str(out), "--data", str(split), "--encoder",
                  str(d["pretrain"]), "--decoders", str(d["dec"])]) == 4
-    assert capsys.readouterr().err.startswith("error:data:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and says.format(first=first) in err
     assert not out.exists()
 
 
@@ -1334,13 +1347,8 @@ def test_cli_surface():
 
 
 def test_output_digest_compare_names_each_mismatch(tmp_path, monkeypatch, capsys):
-    import importlib.util
     import sys
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("output_digest",
-                                                  root / "tools" / "output_digest.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _output_digest()
     monkeypatch.setattr(tool, "recipe", lambda work: [])    # digest the files below as they are
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ecgrecon.dataset import (ALL_LEADS, BLOCK, CHUNK, HOP, WINDOW, QcBounds, Segments,
+from ecgrecon.dataset import (ALL_LEADS, BLOCK, CHUNK, HOP, WINDOW, Segments,
                               apply_qc, chunked, compact, fit_qc_bounds, load_segments,
                               load_vectors, save_segments, save_vectors, segment_record,
                               segment_record_nonoverlap, segment_records, segment_stats,
@@ -409,12 +409,3 @@ def test_vector_store_round_trip(tmp_path):
     loaded, manifest = load_vectors(tmp_path / "vecs")
     np.testing.assert_array_equal(loaded, mat)
     assert manifest["meta"]["split"] == "train"
-
-
-def test_qc_bounds_serialization_round_trip():
-    segs = Segments.concat(_segment_with_stat(v, seed=i) for i, v in
-                           enumerate(np.linspace(0.3, 0.7, 20)))
-    bounds = fit_qc_bounds(segment_stats(segs))
-    back = QcBounds.from_dict(bounds.to_dict())
-    np.testing.assert_allclose(back.ptp_lo, bounds.ptp_lo)
-    np.testing.assert_allclose(back.rms_hi, bounds.rms_hi)

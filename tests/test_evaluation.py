@@ -274,6 +274,11 @@ def test_evaluate_model_with_stub_decoders():
     # zero predictor: rmse equals the target rms, r2 <= 0
     assert rep.segment_metrics["V1"].rmse == pytest.approx(0.3, abs=0.05)
     assert rep.segment_metrics["V1"].r2 <= 0.0
+    # a constant prediction leaves Pearson undefined in every window and record
+    assert rep.segment_metrics["V1"].pearson is None
+    assert rep.record_metrics["V1"].pearson is None
+    with pytest.raises(DataError, match="no records to evaluate"):
+        evaluate_model([], Encoder(seed=0), [(decoders, stats, True)])
 
 
 def test_evaluate_model_decodes_each_window_once():
@@ -320,10 +325,13 @@ def test_row_metrics_equal_scalar_metrics():
     y[1, 2] = 0.5          # constant target: r2 and pearson undefined
     y_hat[2, 3] = -1.25    # constant prediction: pearson undefined
     got = _row_metrics(y_hat, y)
+    assert got.dtype == np.float64 and got.shape == (3, 4, 5)
     for i, j in np.ndindex(4, 5):
-        want = [_metric_or_none(f, y_hat[i, j], y[i, j]) for f in (rmse, r2, pearson)]
-        assert [m[i, j] for m in got] == want
-    assert got[1][1, 2] is None and got[2][1, 2] is None and got[2][2, 3] is None
+        for m, f in zip(got, (rmse, r2, pearson)):
+            # NaN exactly where the scalar metric is undefined
+            want = _metric_or_none(f, y_hat[i, j], y[i, j])
+            assert np.isnan(m[i, j]) if want is None else m[i, j] == want
+    assert np.isnan([got[1][1, 2], got[2][1, 2], got[2][2, 3]]).all()
 
 
 def _scalar_report(records, encoder, decoders, stats):

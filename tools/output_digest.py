@@ -2,13 +2,14 @@
 
     python3 tools/output_digest.py --work DIR
 
-Run from the root of a source checkout. Runs the recipe of
-`tests/test_cli.py` through `ecgrecon.cli.main` into DIR, with one BLAS
-thread: synth (3 classes x 10 patients x 1 record of 6 s, seed 0),
-`preprocess --verify-checksums`, split, `pretrain --epochs 1 --batch-size
-32 --seed 0`, embed, conditioned and `--clean-only` train (`--epochs 1
---seed 0` each), evaluate with `--baseline-decoders`, reconstruct and
-`affinity --k 3 --split train`. Prints one JSON object that maps the path
+Run from the root of a source checkout. Runs the small CLI recipe
+through `ecgrecon.cli.main` into DIR, with one BLAS thread: synth (3
+classes x 10 patients x 1 record of 6 s, seed 0), `preprocess
+--verify-checksums`, split, `pretrain --epochs 1 --batch-size 32 --seed
+0`, embed, conditioned and `--clean-only` train (`--epochs 1 --seed 0`
+each), evaluate with `--baseline-decoders`, reconstruct and `affinity --k
+3 --split train`. The `pipeline` fixture of `tests/test_cli.py` runs the
+first seven of these stages. Prints one JSON object that maps the path
 of every file under DIR, relative to DIR, to its sha256. Each stage's
 `manifest.json` is digested with its `started` and `finished` timestamps
 removed. Stage manifests and `splits.json` hold absolute paths under DIR,
