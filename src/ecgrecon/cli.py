@@ -367,15 +367,19 @@ class IndexEntry:
 def _read_index(preprocessed_dir, record_ids=None):
     """The entries of a preprocessed directory's index, in order; only
     those in `record_ids` if given. An entry that is not an object, lacks
-    a field, or holds one of the wrong type, a fold outside 1-10 or a
-    likelihood that is no number in [0, 100], is a DataError."""
+    a field, or holds one of the wrong type, a fold outside 1-10, a
+    likelihood that is no number in [0, 100] or the record_id of an
+    earlier entry, is a DataError."""
     pre = Path(preprocessed_dir)
     require_manifest(pre)
     index_path = pre / "records_index.json"
-    entries = []
+    entries, seen = [], set()
     for i, entry in enumerate(read_json(index_path, list)):
         where = f"{index_path} entry {i}"
         record_id = json_field(entry, "record_id", str, where)
+        if record_id in seen:
+            raise DataError(f"{where}: record_id {record_id} is listed twice")
+        seen.add(record_id)
         if record_ids is not None and record_id not in record_ids:
             continue
         fold = json_field(entry, "fold", int, where)

@@ -859,6 +859,29 @@ def test_bad_records_index_entry_exit_4(pipeline, tmp_path, capsys, edit):
     assert [p.name for p in tmp_path.iterdir()] == ["pre"]
 
 
+@pytest.mark.parametrize("stage", ["split", "evaluate", "reconstruct"])
+def test_repeated_records_index_entry_exit_4(pipeline, tmp_path, capsys, stage):
+    """An index that lists one test record twice would have it windowed,
+    or scored, twice."""
+    d = pipeline
+    pre, split = tmp_path / "pre", tmp_path / "split"
+    shutil.copytree(d["pre"], pre)
+    shutil.copytree(d["split"], split)
+    _edit_json(split / "splits.json", lambda s: s.update(preprocessed_dir=str(pre)))
+    test_id = _test_split_record(pre)
+    _edit_json(pre / "records_index.json", lambda index: index.append(
+        next(e for e in index if e["record_id"] == test_id)))
+    inputs = {"split": ["--data", str(pre)],
+              "evaluate": ["--data", str(split), "--encoder", str(d["pretrain"]),
+                           "--decoders", str(d["dec"])]}
+    inputs["reconstruct"] = inputs["evaluate"]
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), *inputs[stage]]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and f"record_id {test_id} is listed twice" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage, edit, says", [
     pytest.param("evaluate", lambda splits: splits["records"].update(test=5),
                  "'test' is missing or not", id="test-not-list"),

@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +45,7 @@ def test_labels_attached():
     assert rec.labels.high_confidence() == {"TALLR"}
 
 
-def _whole_record(spec, duration, fs, seed):
+def _whole_record(spec, duration, fs, seed, amp_scale=None):
     """generate_record with every bump evaluated over the whole record."""
     rng = np.random.default_rng(seed)
     period = 60.0 / rng.uniform(*spec.hr_range)
@@ -51,10 +56,11 @@ def _whole_record(spec, duration, fs, seed):
     samples = np.zeros((len(ALL_LEADS), n))
     for li, lead in enumerate(ALL_LEADS):
         sig = np.zeros(n)
+        scale = (amp_scale or {}).get(lead, 1.0)
         for center, width, amp in spec.waves.get(lead, []):
             for k in range(-1, n_beats + 1):
                 mu = (k + center) * period
-                sig += amp * np.exp(-0.5 * ((t - mu) / width) ** 2)
+                sig += (amp * scale) * np.exp(-0.5 * ((t - mu) / width) ** 2)
         sig = sig + spec.wander_amp * np.sin(
             2.0 * np.pi * spec.wander_freq * t + wander_phase)
         samples[li] = sig
@@ -68,23 +74,52 @@ _CUSTOM = SynthClassSpec("CUSTOM", {"I": [(0.15, 0.02, 0.1), (0.3, 0.01, 1.0)],
                                     "V2": [(0.3, 0.02, -0.6), (0.55, 0.08, 0.3)],
                                     "V5": [(0.3, 0.004, 0.9)]},
                          hr_range=(100.0, 100.0), noise_sigma=0.0, wander_amp=0.0)
+# one (center, width) on two leads with amplitudes of opposite sign, and
+# twice on II: a lead that scaled the shared block in place would show here
+_SHARED = SynthClassSpec("SHARED", {"I": [(0.3, 0.012, 1.0), (0.5, 0.06, 0.3)],
+                                    "II": [(0.3, 0.012, -0.7), (0.5, 0.06, -0.2),
+                                           (0.3, 0.012, 0.4)]},
+                         hr_range=(70.0, 70.0), noise_sigma=0.0, wander_amp=0.0)
+_TALLR = builtin_class_specs()[1]
+# a per-lead scale within the 0.8 to 1.2 that generate_corpus draws from
+_AMP_SCALE = {lead: 0.8 + 0.4 * i / (len(ALL_LEADS) - 1) for i, lead in enumerate(ALL_LEADS)}
 
 
-@pytest.mark.parametrize("spec, duration, fs", [
-    *[pytest.param(spec, 30.0, 100.0, id=spec.class_name) for spec in builtin_class_specs()],
-    pytest.param(_NORM, 10.0, 500.0, id="NORM-500hz"),
-    pytest.param(_NORM, 10.0, 1000.0, id="NORM-1000hz"),
-    pytest.param(_NORM, 0.01, 100.0, id="NORM-one-sample"),
-    pytest.param(_NORM, 0.5, 100.0, id="NORM-shorter-than-a-beat"),
-    pytest.param(_NORM, 40.0, 100.0, id="NORM-40s"),
-    pytest.param(_CUSTOM, 10.0, 100.0, id="CUSTOM"),
-    pytest.param(_CUSTOM, 10.0, 1000.0, id="CUSTOM-1000hz"),
-    pytest.param(dataclasses.replace(_NORM, wander_amp=0.0), 10.0, 100.0, id="NORM-no-wander"),
-    pytest.param(dataclasses.replace(_NORM, noise_sigma=0.0), 10.0, 100.0, id="NORM-no-noise"),
+@pytest.mark.parametrize("spec, duration, fs, amp_scale", [
+    *[pytest.param(spec, 30.0, 100.0, None, id=spec.class_name)
+      for spec in builtin_class_specs()],
+    pytest.param(_NORM, 10.0, 500.0, None, id="NORM-500hz"),
+    pytest.param(_NORM, 10.0, 1000.0, None, id="NORM-1000hz"),
+    pytest.param(_NORM, 0.01, 100.0, None, id="NORM-one-sample"),
+    pytest.param(_NORM, 0.5, 100.0, None, id="NORM-shorter-than-a-beat"),
+    pytest.param(_NORM, 40.0, 100.0, None, id="NORM-40s"),
+    pytest.param(_CUSTOM, 10.0, 100.0, None, id="CUSTOM"),
+    pytest.param(_CUSTOM, 10.0, 1000.0, None, id="CUSTOM-1000hz"),
+    pytest.param(dataclasses.replace(_NORM, wander_amp=0.0), 10.0, 100.0, None,
+                 id="NORM-no-wander"),
+    pytest.param(dataclasses.replace(_NORM, noise_sigma=0.0), 10.0, 100.0, None,
+                 id="NORM-no-noise"),
+    pytest.param(_TALLR, 10.0, 100.0, _AMP_SCALE, id="TALLR-amp-scale"),
+    pytest.param(_SHARED, 10.0, 100.0, None, id="SHARED"),
+    pytest.param(_SHARED, 10.0, 500.0, None, id="SHARED-500hz"),
+    pytest.param(_CUSTOM, 10.0, 1000.0, _AMP_SCALE, id="CUSTOM-amp-scale-1000hz"),
 ])
-def test_bumps_rendered_locally_match_whole_record(spec, duration, fs):
-    rec = generate_record(spec, duration, fs, seed=11)
-    np.testing.assert_array_equal(rec.samples, _whole_record(spec, duration, fs, 11))
+def test_bumps_rendered_locally_match_whole_record(spec, duration, fs, amp_scale):
+    rec = generate_record(spec, duration, fs, seed=11, amp_scale=amp_scale)
+    np.testing.assert_array_equal(rec.samples,
+                                  _whole_record(spec, duration, fs, 11, amp_scale))
+
+
+def test_synth_rates_tool_prints_four_rates():
+    """`tools/synth_rates.py`, which shows a change to rendering keeps its
+    bytes, runs and prints one line per (rate, length) with a sha256."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "synth_rates.py"
+    done = subprocess.run([sys.executable, str(tool), "--records", "1"],
+                          capture_output=True, text=True, check=True, timeout=300)
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(line["fs"], line["seconds"]) for line in lines] == [
+        (100.0, 10.0), (100.0, 40.0), (500.0, 10.0), (1000.0, 30.0)]
+    assert all(re.fullmatch("[0-9a-f]{64}", line["sha256"]) for line in lines)
 
 
 def test_narrow_wave_pads_its_block_without_overflow_warning():
