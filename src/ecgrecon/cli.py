@@ -39,7 +39,7 @@ from .reconstruction import (NormStats, TrainConfig, normalize_x,
                              reconstruct_record, save_decoders, train_decoders)
 from .synth import builtin_class_specs, generate_corpus, load_class_specs
 from .wfdb_io import (DiagnosticLabels, SignalRecord, load_record, parse_header,
-                      parse_ptbxl_metadata, write_record)
+                      parse_ptbxl_metadata, read_record, write_record)
 
 
 def _now():
@@ -359,17 +359,22 @@ class IndexEntry:
 
     def load(self):
         """The cleaned record, with this entry's patient, fold and labels."""
-        rec = load_record(self.path)
+        return self._labelled(load_record(self.path))
+
+    def read(self, header):
+        """`load`, given this entry's header as parsed already."""
+        return self._labelled(read_record(self.path, header, False))
+
+    def _labelled(self, rec):
         rec.patient_id, rec.fold, rec.labels = self.patient_id, self.fold, self.labels
         return rec
 
 
-def _read_index(preprocessed_dir, record_ids=None):
-    """The entries of a preprocessed directory's index, in order; only
-    those in `record_ids` if given. An entry that is not an object, lacks
-    a field, or holds one of the wrong type, a fold outside 1-10, a
-    likelihood that is no number in [0, 100] or the record_id of an
-    earlier entry, is a DataError."""
+def _read_index(preprocessed_dir):
+    """The entries of a preprocessed directory's index, in order. An entry
+    that is not an object, lacks a field, or holds one of the wrong type,
+    a fold outside 1-10, a likelihood that is no number in [0, 100] or the
+    record_id of an earlier entry, is a DataError."""
     pre = Path(preprocessed_dir)
     require_manifest(pre)
     index_path = pre / "records_index.json"
@@ -380,8 +385,6 @@ def _read_index(preprocessed_dir, record_ids=None):
         if record_id in seen:
             raise DataError(f"{where}: record_id {record_id} is listed twice")
         seen.add(record_id)
-        if record_ids is not None and record_id not in record_ids:
-            continue
         fold = json_field(entry, "fold", int, where)
         if not 1 <= fold <= 10:
             raise DataError(f"{where}: fold must be in 1..10, got {fold}")
@@ -404,14 +407,14 @@ def cmd_split(args, out, settings):
     splits = split_by_fold(_read_index(args.data))
     record_ids = {name: [e.record_id for e in entries] for name, entries in splits.items()}
     # one split at a time, train first (it fits the QC bounds): each store
-    # is counted from the headers, filled record by record and compacted
-    # by QC in place, and dropped once written
+    # is counted from the headers, each parsed once, filled record by
+    # record and compacted by QC in place, and dropped once written
     kept, rejected = {}, {}
     for name in ("train", "val", "test"):
         entries = splits.pop(name)
-        lengths = [parse_header(read_text(e.path)).n_samples for e in entries]
-        segs = segment_records((e.load() for e in entries), lengths,
-                               nonoverlap=name == "test")
+        headers = [parse_header(read_text(e.path)) for e in entries]
+        segs = segment_records((e.read(h) for e, h in zip(entries, headers)),
+                               [h.n_samples for h in headers], nonoverlap=name == "test")
         stats = segment_stats(segs)
         if name == "train":
             if not len(segs):
@@ -534,14 +537,16 @@ def _test_records(split_dir):
         raise DataError(f"{where}: test record ids are not all strings")
     if not test:
         raise DataError(f"{where}: no test records")
-    entries = _read_index(json_field(splits, "preprocessed_dir", str, where), set(test))
+    entries = _read_index(json_field(splits, "preprocessed_dir", str, where))
     known, seen = {e.record_id for e in entries}, set()
     for rid in test:
         if rid in seen or rid not in known:
             raise DataError(f"{where}: test record {rid} is " + (
                 "listed twice" if rid in seen else "not in records_index.json"))
         seen.add(rid)
-    return (e.load() for e in entries)
+    # the stage holds the test fold's entries, not the whole index
+    test_entries = [e for e in entries if e.record_id in seen]
+    return (e.load() for e in test_entries)
 
 
 def cmd_reconstruct(args, out, settings):

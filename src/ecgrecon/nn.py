@@ -137,10 +137,11 @@ class LeadDecoder(Module):
 
     The normalized window and the time-broadcast embedding are each
     projected to 128 channels, concatenated to 256 channels, fused by a
-    pointwise conv, and decoded to one 256-sample lead. That block is
-    linear, so `forward` runs it as one `fused_projection` op and never
-    builds the [B, 256, 256] concat; `x_proj`, `h_proj` and `fusion` hold
-    its parameters.
+    pointwise conv and a relu, and decoded to one 256-sample lead. The
+    block before the relu is linear, so `forward` runs it and the relu as
+    one `fused_projection` op, which never builds the [B, 256, 256]
+    concat and keeps one [B, 32, 256] output; `x_proj`, `h_proj` and
+    `fusion` hold its parameters.
     """
 
     FUSION_CH, TEMPORAL_CH = 32, 16
@@ -157,9 +158,9 @@ class LeadDecoder(Module):
 
     def forward(self, x_hat, h_hat):
         t_len = x_hat.shape[2]
-        fused = T.relu(T.fused_projection(
+        fused = T.fused_projection(
             x_hat, h_hat, self.x_proj.weight, self.x_proj.bias, self.h_proj.weight,
-            self.h_proj.bias, self.fusion.weight, self.fusion.bias))
+            self.h_proj.bias, self.fusion.weight, self.fusion.bias)
         out = self.temp2(self.temp1(fused))
         return T.reshape(out, (out.shape[0], t_len))
 

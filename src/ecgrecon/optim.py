@@ -7,7 +7,10 @@ import numpy as np
 
 class AdamW:
     """Decoupled weight decay is applied before the bias-corrected
-    Adam step, so decay acts even when gradients are zero."""
+    Adam step, so decay acts even when gradients are zero. The moments
+    `m` and `v` are updated in place, in the order of operations of
+    `m = b1 * m + (1 - b1) * g`, so their bytes are those of that
+    expression."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -30,10 +33,13 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
+            m, v = self.m[i], self.v[i]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
             w -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def zero_grad(self):

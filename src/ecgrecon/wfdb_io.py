@@ -249,8 +249,13 @@ def write_record(rec, directory):
 def load_record(hea_path, verify_checksum=False):
     """Read a record given its .hea path; .dat is resolved next to it."""
     hea_path = Path(hea_path)
-    header = parse_header(read_text(hea_path))
-    dat_path = hea_path.parent / header.signals[0].file_name
+    return read_record(hea_path, parse_header(read_text(hea_path)), verify_checksum)
+
+
+def read_record(hea_path, header, verify_checksum):
+    """The record whose .hea file `hea_path` parsed to `header`; .dat is
+    resolved next to it."""
+    dat_path = Path(hea_path).parent / header.signals[0].file_name
     if not dat_path.is_file():
         raise DataError(f"signal file missing: {dat_path}")
     return read_signals(header, dat_path.read_bytes(), verify_checksum=verify_checksum)

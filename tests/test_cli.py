@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from ecgrecon import dsp, nn
 from ecgrecon.cli import main
 from ecgrecon.dataset import load_vectors, save_vectors
-from ecgrecon.wfdb_io import load_record, parse_header, write_record
+from ecgrecon.wfdb_io import load_record, parse_header, read_record, write_record
 
 from _utils import mixed_rate_corpus
 
@@ -569,11 +571,11 @@ def _count_loads(monkeypatch):
     import ecgrecon.cli as cli
     loaded = []
 
-    def counted(path, **kwargs):
+    def counted(path, header, verify_checksum):
         loaded.append(Path(path).name)
-        return load_record(path, **kwargs)
+        return read_record(path, header, verify_checksum)
 
-    monkeypatch.setattr(cli, "load_record", counted)
+    monkeypatch.setattr(cli, "read_record", counted)
     return loaded
 
 
@@ -602,6 +604,24 @@ def test_split_loads_each_record_once(pipeline, tmp_path, monkeypatch):
     records = json.loads((tmp_path / "s" / "splits.json").read_text())["records"]
     assert loaded == [f"{rid}.hea" for name in ("train", "val", "test")
                       for rid in records[name]]
+
+
+def test_split_parses_each_header_once(pipeline, tmp_path, monkeypatch):
+    """The header that counts a record's windows also reads its samples."""
+    import ecgrecon.cli as cli
+    import ecgrecon.wfdb_io as wfdb_io
+    parsed = []
+
+    def counted(text):
+        header = parse_header(text)
+        parsed.append(header.record_name)
+        return header
+
+    for module in (cli, wfdb_io):
+        monkeypatch.setattr(module, "parse_header", counted)
+    assert main(["split", "--out", str(tmp_path / "s"), "--data", str(pipeline["pre"])]) == 0
+    index = json.loads((pipeline["pre"] / "records_index.json").read_text())
+    assert sorted(parsed) == sorted(e["record_id"] for e in index)
 
 
 def _test_split_record(pre):
@@ -857,6 +877,29 @@ def test_bad_records_index_entry_exit_4(pipeline, tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error:data:")
     assert not out.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["pre"]
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "reconstruct"])
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda entry: entry.update(fold=0), id="fold-0"),
+    pytest.param(lambda entry: entry["likelihoods"].update(NORM="x"), id="likelihood-text"),
+])
+def test_bad_non_test_records_index_entry_exit_4(pipeline, tmp_path, capsys, stage, edit):
+    """`evaluate` and `reconstruct` check every entry of the index, as
+    `split` does, not only the test fold's."""
+    d = pipeline
+    pre, split = tmp_path / "pre", tmp_path / "split"
+    shutil.copytree(d["pre"], pre)
+    shutil.copytree(d["split"], split)
+    _edit_json(split / "splits.json", lambda s: s.update(preprocessed_dir=str(pre)))
+    test = set(json.loads((split / "splits.json").read_text())["records"]["test"])
+    _edit_json(pre / "records_index.json", lambda index: edit(
+        next(e for e in index if e["record_id"] not in test)))
+    out = tmp_path / "o"
+    assert main([stage, "--out", str(out), "--data", str(split), "--encoder",
+                 str(d["pretrain"]), "--decoders", str(d["dec"])]) == 4
+    assert capsys.readouterr().err.startswith("error:data:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["split", "evaluate", "reconstruct"])
@@ -1370,7 +1413,6 @@ def test_cli_surface():
 
 
 def test_output_digest_compare_names_each_mismatch(tmp_path, monkeypatch, capsys):
-    import sys
     tool = _output_digest()
     monkeypatch.setattr(tool, "recipe", lambda work: [])    # digest the files below as they are
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -1379,17 +1421,50 @@ def test_output_digest_compare_names_each_mismatch(tmp_path, monkeypatch, capsys
     for name, text in (("a/same.txt", "1"), ("a/changed.txt", "2"), ("b/new.txt", "3")):
         (work / name).parent.mkdir(parents=True, exist_ok=True)
         (work / name).write_text(text)
-    saved = tool.digest(work)
-    saved["a/changed.txt"] = "0" * 64
-    saved["c/gone.txt"] = saved.pop("b/new.txt")
-    (tmp_path / "saved.json").write_text(json.dumps(saved))
+    files = tool.digest(work)
+    files["a/changed.txt"] = "0" * 64
+    files["c/gone.txt"] = files.pop("b/new.txt")
+    versions = dict(tool.versions(), numpy="0.0")
+    (tmp_path / "saved.json").write_text(json.dumps({"versions": versions, "files": files}))
     assert tool.main(["--work", str(work), "--compare", str(tmp_path / "saved.json")]) == 1
     out, err = capsys.readouterr()
-    assert json.loads(out) == tool.digest(work)
+    assert json.loads(out) == {"versions": tool.versions(), "files": tool.digest(work)}
     assert err.splitlines() == [
         "output_digest: differs: a/changed.txt",
         "output_digest: missing: b/new.txt (not in the saved digest)",
         "output_digest: missing: c/gone.txt (not written)",
+        f"output_digest: version: numpy {tool.versions()['numpy']} here, 0.0 in the saved "
+        "digest",
         f"output_digest: 3 of 4 paths differ from {tmp_path / 'saved.json'}"]
     (tmp_path / "saved.json").write_text(out)
     assert tool.main(["--work", str(work), "--compare", str(tmp_path / "saved.json")]) == 0
+
+
+def test_output_digest_replaces_the_work_directory(tmp_path):
+    """Manifests and splits.json name the work directory; their digest
+    does not depend on it."""
+    tool = _output_digest()
+    digests = []
+    for name in ("one", "two"):
+        work = tmp_path / name
+        (work / "split").mkdir(parents=True)
+        (work / "split" / "splits.json").write_text(
+            json.dumps({"preprocessed_dir": str(work / "pre")}))
+        (work / "split" / "manifest.json").write_text(json.dumps(
+            {"inputs": [str(work / "pre")], "started": name, "finished": name}))
+        digests.append(tool.digest(work))
+    assert digests[0] == digests[1]
+
+
+def test_recipe_writes_the_saved_digest(tmp_path):
+    """Every file the digest recipe writes has the sha256 that
+    `tests/output_digest.json` saved. A change that moves an output byte on
+    purpose regenerates that file (`tools/output_digest.py --work DIR >
+    tests/output_digest.json`) and says in CHANGES.md which paths moved."""
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, str(root / "tools" / "output_digest.py"), "--work",
+         str(tmp_path / "work"), "--compare", str(root / "tests" / "output_digest.json")],
+        capture_output=True, text=True)
+    report = [line for line in run.stderr.splitlines() if line.startswith("output_digest:")]
+    assert run.returncode == 0, "\n".join(report) or run.stderr

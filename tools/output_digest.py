@@ -9,19 +9,24 @@ classes x 10 patients x 1 record of 6 s, seed 0), `preprocess
 0`, embed, conditioned and `--clean-only` train (`--epochs 1 --seed 0`
 each), evaluate with `--baseline-decoders`, reconstruct and `affinity --k
 3 --split train`. The `pipeline` fixture of `tests/test_cli.py` runs the
-first seven of these stages. Prints one JSON object that maps the path
-of every file under DIR, relative to DIR, to its sha256. Each stage's
-`manifest.json` is digested with its `started` and `finished` timestamps
-removed. Stage manifests and `splits.json` hold absolute paths under DIR,
-so compare two checkouts with the same DIR. A stage that exits non-zero
-stops the script with exit 1.
+first seven of these stages. Prints one JSON object: "files" maps the
+path of every file under DIR, relative to DIR, to its sha256, and
+"versions" names the numpy, scipy and OpenBLAS the bytes came from. Each
+stage's `manifest.json` is digested with its `started` and `finished`
+timestamps removed. Stage manifests and `splits.json` hold absolute paths
+under DIR; they are digested with DIR replaced by `<work>`, so a digest
+does not depend on DIR. A stage that exits non-zero stops the script
+with exit 1.
 
     python3 tools/output_digest.py --work DIR --compare FILE
 
 also compares the digest with FILE, a digest this script printed before
-(for instance at the parent commit, with the same DIR). It writes one line
-to stderr for every path whose sha256 differs and every path that only one
-of the two holds, and then a count; any such path makes the exit status 1.
+(for instance at the parent commit; `tests/output_digest.json` is the
+one the Tier-1 suite checks). It writes one line to stderr for every
+path whose sha256 differs and every path that only one of the two holds,
+then one for each version that differs, and then a count; any such path
+makes the exit status 1. OpenBLAS picks its kernels for the CPU it runs
+on, so the same versions on another CPU may still round differently.
 """
 
 from __future__ import annotations
@@ -62,19 +67,43 @@ def recipe(work):
     ]
 
 
+def _placeholder(value, work):
+    """`value`, a parsed JSON document, with `work` replaced by `<work>` in
+    every string it holds."""
+    if isinstance(value, str):
+        return value.replace(str(work), "<work>")
+    if isinstance(value, list):
+        return [_placeholder(v, work) for v in value]
+    if isinstance(value, dict):
+        return {k: _placeholder(v, work) for k, v in value.items()}
+    return value
+
+
 def _content(path, work):
-    """The bytes of `path`; a stage manifest as written, less its timestamps."""
-    if path.relative_to(work).parts[1:] != ("manifest.json",):
+    """The bytes of `path`; a stage manifest, less its timestamps, and
+    `splits.json` with `work` replaced by `<work>`."""
+    rel = path.relative_to(work).parts[1:]
+    if rel not in (("manifest.json",), ("splits.json",)):
         return path.read_bytes()
-    manifest = json.loads(path.read_text())
-    del manifest["started"], manifest["finished"]
-    return json.dumps(manifest, indent=1).encode()
+    doc = json.loads(path.read_text())
+    if rel == ("manifest.json",):
+        del doc["started"], doc["finished"]
+    return json.dumps(_placeholder(doc, work), indent=1).encode()
 
 
 def digest(work):
     """{path relative to `work`: sha256} of every file under `work`."""
     return {str(path.relative_to(work)): hashlib.sha256(_content(path, work)).hexdigest()
             for path in sorted(work.rglob("*")) if path.is_file()}
+
+
+def versions():
+    """The numpy, scipy and OpenBLAS versions of this interpreter."""
+    import numpy
+    import scipy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "openblas": f"{blas['name']} {blas['version']}"}
 
 
 def compare(got, want):
@@ -98,8 +127,10 @@ def main(argv=None):
             want = json.loads(Path(args.compare).read_text())
         except (OSError, ValueError) as exc:
             parser.error(f"--compare {args.compare}: {exc}")
-        if not isinstance(want, dict):
-            parser.error(f"--compare {args.compare}: not a JSON object")
+        if not (isinstance(want, dict) and isinstance(want.get("files"), dict)
+                and isinstance(want.get("versions"), dict)):
+            parser.error(f"--compare {args.compare}: not a JSON object with "
+                         "\"files\" and \"versions\" objects")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path[:0] = [str(ROOT / "src")]
     from ecgrecon.cli import main as run
@@ -111,14 +142,17 @@ def main(argv=None):
         if code != 0:
             print(f"output_digest: {argv[0]} exited {code}", file=sys.stderr)
             return 1
-    got = digest(work)
+    got = {"versions": versions(), "files": digest(work)}
     print(json.dumps(got, indent=1))
     if want is None:
         return 0
-    mismatches = compare(got, want)
-    for line in mismatches:
+    mismatches = compare(got["files"], want["files"])
+    moved = [f"version: {k} {got['versions'].get(k)} here, {v} in the saved digest"
+             for k, v in sorted(want["versions"].items()) if got["versions"].get(k) != v]
+    for line in mismatches + moved:
         print(f"output_digest: {line}", file=sys.stderr)
-    print(f"output_digest: {len(mismatches)} of {len(got.keys() | want.keys())} paths "
+    paths = got["files"].keys() | want["files"].keys()
+    print(f"output_digest: {len(mismatches)} of {len(paths)} paths "
           f"differ from {args.compare}", file=sys.stderr)
     return 1 if mismatches else 0
 
